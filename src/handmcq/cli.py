@@ -41,6 +41,13 @@ EXIT_IO = 5
 DEFAULT_SEED = 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="handmcq",
@@ -67,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score a prediction file against a gold dataset")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--calibration-bins", type=int, default=None)
+    p.add_argument("--calibration-bins", type=_positive_int, default=None)
     p.add_argument("--report", help="write the full machine-readable report here")
 
     p = sub.add_parser("baseline", help="uniform random-guess metrics on a gold dataset")

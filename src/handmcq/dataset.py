@@ -13,6 +13,14 @@ followed by one MCQ per line:
      "target": {"subject": int, "object": int|null}, "prompt": str,
      "options": [str], "correct_index": int, "provenance": {...}}
 
+Every dataset line is the canonical JSON encoding of its record, that of
+`json.dumps(record, sort_keys=True, separators=(",", ":"))`: keys sorted,
+no whitespace, every non-ASCII character escaped as \\uXXXX, floats in
+`repr` spelling (NaN, Infinity and -Infinity as `json` writes them). The
+generator splices question lines from pre-encoded fragments (`_dump_line`)
+instead of calling `json.dumps`, so it must reproduce this encoding byte
+for byte; the tests compare both.
+
 Generation is deterministic for a fixed (manifest, config): every random
 choice is seeded by a stable hash of (seed, image_id, ...), so inserting or
 removing one image never perturbs another image's questions, and the output
@@ -20,9 +28,12 @@ bytes are independent of the parallelism degree.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import multiprocessing
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,7 +52,7 @@ from .discretize import (
 from .errors import DegenerateBone, DegeneratePose, DuplicateImageId, ParseError
 from .geometry import NormalizedPose, RawPose, descriptor_value, normalize_pose
 from .skeleton import KINDS, DescriptorTarget, catalog, target_from_fields
-from .textgen import build_options, decode_statement
+from .textgen import decode_statement, draw_permutation, options_in_order
 
 PROMPT_QUESTION = "Which of the following statements about the hand in the image is correct?"
 OPTION_LETTERS = "abcd"
@@ -53,6 +64,10 @@ def _stable_u64(*parts) -> int:
     """Platform-stable 64-bit seed from heterogeneous parts."""
     payload = _SEP.join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+
+
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def question_id(image_id: str, target: DescriptorTarget) -> str:
@@ -256,61 +271,108 @@ def normalized_pose_for(record: PoseRecord, cfg: GenerationConfig) -> Normalized
     return normalize_pose(raw)
 
 
+@dataclass(frozen=True)
+class _Rendering:
+    """Everything one (target, option order) puts into a question: the
+    Mcq fields and the canonical JSON fragments between its per-question
+    values."""
+
+    options: tuple[str, ...]
+    prompt: str
+    permutation: tuple[int, ...]
+    # ',"kind":...,"options":[...],"prompt":...,"provenance":{"category":'
+    head: str
+    # ',"permutation":[...]'
+    permutation_json: str
+    # '","target":{...}}' after the question_id
+    tail: str
+
+
+def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> _Rendering:
+    options = options_in_order(target, permutation)
+    lines = [PROMPT_QUESTION]
+    for i, text in enumerate(options):
+        lines.append(f"({OPTION_LETTERS[i]}) {text}")
+    prompt = "\n".join(lines)
+    target_json = _canonical_json({"object": target.object, "subject": target.subject})
+    return _Rendering(
+        options=options,
+        prompt=prompt,
+        permutation=permutation,
+        head=(f',"kind":{_canonical_json(target.kind)},"options":{_canonical_json(options)}'
+              f',"prompt":{_canonical_json(prompt)},"provenance":{{"category":'),
+        permutation_json=f',"permutation":{_canonical_json(permutation)}',
+        tail=f'","target":{target_json}}}',
+    )
+
+
+# (target, permutation) -> rendering, filled on first use. At most 636
+# entries: 15 angle targets x 4! orders + 23 distance x 3! + 69 relpos x 2!.
+_RENDERINGS: dict[tuple[DescriptorTarget, tuple[int, ...]], _Rendering] = {}
+
+# label -> its JSON string, for every label of every kind
+_LABEL_JSON = {label: _canonical_json(label)
+               for labels in LABELS_BY_KIND.values() for label in labels}
+
+
 def assemble_mcq(
+    image_id: str, target: DescriptorTarget, category: Category, seed
+) -> tuple[_Rendering, int]:
+    """Draw one question's seeded option order: the rendering of that
+    order and the display index of the true option."""
+    rng = random.Random(_stable_u64(seed, image_id, "options", target.key()))
+    permutation, correct_index = draw_permutation(target, category, rng)
+    key = (target, permutation)
+    rendering = _RENDERINGS.get(key)
+    if rendering is None:
+        rendering = _RENDERINGS[key] = _render(target, permutation)
+    return rendering, correct_index
+
+
+def build_mcq(
     image_id: str,
     target: DescriptorTarget,
     value: float,
-    category_label: str,
+    category: Category,
     cfg: GenerationConfig,
     norm_mode: str,
     threshold_config_id: str,
 ) -> Mcq:
-    """Build one MCQ with a deterministically shuffled option set."""
-    rng = random.Random(_stable_u64(cfg.seed, image_id, "options", target.key()))
-    option_set = build_options(target, Category(target.kind, category_label), rng)
-    lines = [PROMPT_QUESTION]
-    for i, text in enumerate(option_set.options):
-        lines.append(f"({OPTION_LETTERS[i]}) {text}")
+    """One MCQ with a deterministically shuffled option set."""
+    rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
     return Mcq(
         question_id=question_id(image_id, target),
         image_id=image_id,
         kind=target.kind,
         target=target,
-        prompt="\n".join(lines),
-        options=option_set.options,
-        correct_index=option_set.correct_index,
+        prompt=rendering.prompt,
+        options=rendering.options,
+        correct_index=correct_index,
         provenance={
             "continuous_value": value,
-            "category": category_label,
+            "category": category.label,
             "threshold_config_id": threshold_config_id,
             "seed": cfg.seed,
-            "permutation": list(option_set.permutation),
+            "permutation": list(rendering.permutation),
             "norm_mode": norm_mode,
         },
     )
 
 
-def generate_image_mcqs(
+def _sample_targets(
     record: PoseRecord, cfg: GenerationConfig
-) -> tuple[list[Mcq], list[SkipNote]]:
-    """All MCQs for one image: per kind, a seeded uniform sample of distinct
-    catalog targets.
-
-    Aligned relative-position truths and degenerate targets never become
-    questions; with resample_on_aligned they are replaced by further draws
-    until the budget is met or the kind's catalog is exhausted (which adds a
-    pool_exhausted note). A degenerate pose skips the whole image, one note
-    per kind, without raising.
-    """
-    mcqs: list[Mcq] = []
+) -> tuple[str | None, list[tuple[DescriptorTarget, float, Category]], list[SkipNote]]:
+    """One image's seeded selection: the normalization mode (None for a
+    degenerate pose), the (target, value, category) of each question in
+    emit order, and the skip notes. See `generate_image_mcqs`."""
+    picks: list[tuple[DescriptorTarget, float, Category]] = []
     skips: list[SkipNote] = []
     try:
         pose = normalized_pose_for(record, cfg)
     except DegeneratePose as e:
         for kind in KINDS:
             skips.append(SkipNote(record.image_id, kind, None, "degenerate_pose", str(e)))
-        return mcqs, skips
-    threshold_id = cfg.thresholds.config_id()
+        return None, picks, skips
     for kind in KINDS:
         pool = list(catalog(kind))
         budget = min(cfg.per_type_samples, len(pool))
@@ -331,36 +393,90 @@ def generate_image_mcqs(
             if category.is_aligned:
                 skips.append(SkipNote(record.image_id, kind, target.key(), "aligned"))
                 continue
-            mcqs.append(
-                assemble_mcq(record.image_id, target, value, category.label,
-                             cfg, pose.mode, threshold_id)
-            )
+            picks.append((target, value, category))
             emitted += 1
         if cfg.resample_on_aligned and emitted < budget:
             skips.append(
                 SkipNote(record.image_id, kind, None, "pool_exhausted",
                          f"emitted {emitted} of {budget}")
             )
+    return pose.mode, picks, skips
+
+
+def generate_image_mcqs(
+    record: PoseRecord, cfg: GenerationConfig
+) -> tuple[list[Mcq], list[SkipNote]]:
+    """All MCQs for one image: per kind, a seeded uniform sample of distinct
+    catalog targets. These are the questions `generate_dataset` writes for
+    the record.
+
+    Aligned relative-position truths and degenerate targets never become
+    questions; with resample_on_aligned they are replaced by further draws
+    until the budget is met or the kind's catalog is exhausted (which adds a
+    pool_exhausted note). A degenerate pose skips the whole image, one note
+    per kind, without raising.
+    """
+    norm_mode, picks, skips = _sample_targets(record, cfg)
+    threshold_id = cfg.thresholds.config_id()
+    mcqs = [build_mcq(record.image_id, target, value, category, cfg, norm_mode, threshold_id)
+            for target, value, category in picks]
     return mcqs, skips
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _float_json(value: float) -> str:
+    """A float as `json.dumps` spells it."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
 
 
+def _dump_line(
+    rendering: _Rendering,
+    correct_index: int,
+    category: Category,
+    value: float,
+    qid: str,
+    image_json: str,
+    norm_json: str,
+    run_json: str,
+) -> str:
+    """One question line, spliced to equal the canonical encoding of its
+    `Mcq.to_dict()` (see the module docstring)."""
+    return (f'{{"correct_index":{correct_index},"image_id":{image_json}{rendering.head}'
+            f'{_LABEL_JSON[category.label]},"continuous_value":{_float_json(value)}'
+            f'{norm_json}{rendering.permutation_json}{run_json}{qid}{rendering.tail}\n')
+
+
+# Generation config of this process, and its run-wide JSON fragment
+# ',"seed":...,"threshold_config_id":...},"question_id":"'.
 _WORKER_CFG: GenerationConfig | None = None
+_WORKER_RUN_JSON = ""
 
 
 def _init_worker(cfg: GenerationConfig) -> None:
-    global _WORKER_CFG
+    global _WORKER_CFG, _WORKER_RUN_JSON
     _WORKER_CFG = cfg
+    _WORKER_RUN_JSON = (f',"seed":{_canonical_json(cfg.seed)},"threshold_config_id":'
+                        f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
 
 
-def _generate_lines(record: PoseRecord) -> tuple[list[str], list[str], list[str]]:
-    """Worker body: output lines plus the kinds emitted and skip reasons."""
-    mcqs, skips = generate_image_mcqs(record, _WORKER_CFG)
-    lines = [_dump_line(m.to_dict()) for m in mcqs]
-    return lines, [m.kind for m in mcqs], [s.reason for s in skips]
+def _generate_lines(record: PoseRecord) -> tuple[str, list[str], list[str]]:
+    """Worker body: the image's output lines, joined, plus the kinds
+    emitted and the skip reasons."""
+    cfg = _WORKER_CFG
+    image_id = record.image_id
+    norm_mode, picks, skips = _sample_targets(record, cfg)
+    image_json = _canonical_json(image_id)
+    norm_json = f',"norm_mode":{_canonical_json(norm_mode)}'
+    lines = []
+    for target, value, category in picks:
+        rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
+        lines.append(_dump_line(rendering, correct_index, category, value,
+                                question_id(image_id, target), image_json, norm_json,
+                                _WORKER_RUN_JSON))
+    return "".join(lines), [target.kind for target, _, _ in picks], [s.reason for s in skips]
 
 
 def dataset_header(cfg: GenerationConfig) -> dict:
@@ -377,37 +493,49 @@ def dataset_header(cfg: GenerationConfig) -> dict:
 def generate_dataset(
     manifest_path, cfg: GenerationConfig, out_path, jobs: int = 1
 ) -> GenerationSummary:
-    """Stream a full dataset to out_path; returns reconciling counts.
+    """Write a full dataset to out_path; returns reconciling counts.
 
     Output bytes depend only on (manifest, cfg): records appear in manifest
     order, MCQs within an image ordered by kind then sample index,
-    regardless of the parallelism degree.
+    regardless of the parallelism degree. The dataset is streamed into a
+    temporary file next to out_path, which replaces out_path only once
+    every record is written: a failed run leaves out_path as it was.
     """
+    out_path = os.fspath(out_path)
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        raise OSError(f"{out_path}: output is not a regular file")
     summary = GenerationSummary(mcqs_by_kind={k: 0 for k in KINDS})
     skip_counts: Counter = Counter()
     jobs = max(1, int(jobs))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(_dump_line(dataset_header(cfg)) + "\n")
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(_canonical_json(dataset_header(cfg)) + "\n")
 
-        def consume(result):
-            lines, kinds, skip_reasons = result
-            for line in lines:
-                out.write(line + "\n")
-            for kind in kinds:
-                summary.mcqs_by_kind[kind] += 1
-            skip_counts.update(skip_reasons)
-            summary.images += 1
+            def consume(result):
+                text, kinds, skip_reasons = result
+                out.write(text)
+                for kind in kinds:
+                    summary.mcqs_by_kind[kind] += 1
+                skip_counts.update(skip_reasons)
+                summary.images += 1
 
-        if jobs == 1:
-            _init_worker(cfg)
-            for record in load_manifest(manifest_path):
-                consume(_generate_lines(record))
-        else:
-            with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
-                for result in pool.imap(
-                    _generate_lines, load_manifest(manifest_path), chunksize=16
-                ):
-                    consume(result)
+            if jobs == 1:
+                _init_worker(cfg)
+                for record in load_manifest(manifest_path):
+                    consume(_generate_lines(record))
+            else:
+                with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                          initargs=(cfg,)) as pool:
+                    for result in pool.imap(
+                        _generate_lines, load_manifest(manifest_path), chunksize=16
+                    ):
+                        consume(result)
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)
+        raise
     summary.skips = dict(skip_counts)
     return summary
 

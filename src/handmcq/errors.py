@@ -77,3 +77,7 @@ class DuplicatePrediction(HandMcqError):
 
 class MissingConfidence(HandMcqError):
     """A calibration computation encountered a prediction without confidence."""
+
+
+class ZeroConfidenceMass(HandMcqError):
+    """Per-option confidences put no mass on any option of their question."""

@@ -12,6 +12,7 @@ and are tallied separately.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .errors import (
     NotOrdinal,
     ParseError,
     UnknownQuestionId,
+    ZeroConfidenceMass,
 )
 from .skeleton import KINDS
 from .textgen import decode_statement
@@ -60,7 +62,13 @@ class PredictionRecord:
 
 
 def load_predictions(path) -> Iterator[PredictionRecord]:
-    """Stream prediction records from a JSONL file."""
+    """Stream prediction records from a JSONL file.
+
+    Raises ParseError for a record that is not an object with a string
+    question_id, a string raw_answer (when present), a confidence in
+    [0, 1], or a list of finite, non-negative option_confidences with a
+    positive sum.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -70,24 +78,38 @@ def load_predictions(path) -> Iterator[PredictionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(line_no, f"invalid JSON: {e}") from None
-            if not isinstance(obj, dict) or "question_id" not in obj:
-                raise ParseError(line_no, "missing question_id")
+            if not isinstance(obj, dict) or not isinstance(obj.get("question_id"), str):
+                raise ParseError(line_no, "missing or non-string question_id")
+            raw_answer = obj.get("raw_answer", "")
+            if not isinstance(raw_answer, str):
+                raise ParseError(line_no, "raw_answer must be a string")
             confidence = obj.get("confidence")
             if confidence is not None:
-                confidence = float(confidence)
+                confidence = _parse_float(line_no, "confidence", confidence)
                 if not 0.0 <= confidence <= 1.0:
                     raise ParseError(line_no, f"confidence {confidence} outside [0, 1]")
             per_option = obj.get("option_confidences")
             if per_option is not None:
-                per_option = tuple(float(c) for c in per_option)
-                if any(c < 0 for c in per_option) or sum(per_option) <= 0:
-                    raise ParseError(line_no, "option_confidences must be non-negative with positive sum")
+                if not isinstance(per_option, list):
+                    raise ParseError(line_no, "option_confidences must be a list")
+                per_option = tuple(_parse_float(line_no, "option_confidences", c)
+                                   for c in per_option)
+                if not all(math.isfinite(c) and c >= 0 for c in per_option) or sum(per_option) <= 0:
+                    raise ParseError(line_no, "option_confidences must be finite and "
+                                              "non-negative with positive sum")
             yield PredictionRecord(
                 question_id=obj["question_id"],
-                raw_answer=obj.get("raw_answer", ""),
+                raw_answer=raw_answer,
                 confidence=confidence,
                 option_confidences=per_option,
             )
+
+
+def _parse_float(line_no: int, name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(line_no, f"{name} value {value!r} is not a number") from None
 
 
 # Leading option letter: "(b) ...", "b) ...", "b. ...", "B: ...", or just "b".
@@ -129,6 +151,10 @@ def resolve_prediction(pred: PredictionRecord, options) -> tuple[int | None, flo
     if pred.option_confidences is not None:
         confs = pred.option_confidences[: len(options)]
         total = sum(confs)
+        if total <= 0:
+            raise ZeroConfidenceMass(
+                f"{pred.question_id}: option_confidences put no mass on its "
+                f"{len(options)} options")
         index = max(range(len(confs)), key=lambda i: confs[i])
         return index, confs[index] / total
     return parse_answer(pred.raw_answer, options), pred.confidence
@@ -329,9 +355,12 @@ def score(
     `gold` may be a dataset path, an iterable of Mcq, or a question_id to
     Mcq dict. Raises UnknownQuestionId for a prediction without a gold
     question and DuplicatePrediction for a repeated question_id. When
-    calibration_bins is set, every parseable prediction must carry a
-    confidence (MissingConfidence otherwise).
+    calibration_bins is set, it must be positive (ValueError otherwise) and
+    every parseable prediction must carry a confidence (MissingConfidence
+    otherwise).
     """
+    if calibration_bins is not None and calibration_bins < 1:
+        raise ValueError("calibration_bins must be >= 1")
     index = _gold_index(gold)
 
     def resolved():

@@ -15,7 +15,7 @@ from .dataset import (
     Mcq,
     PoseRecord,
     SkipNote,
-    assemble_mcq,
+    build_mcq,
     iter_dataset,
     load_manifest,
     normalized_pose_for,
@@ -88,8 +88,8 @@ def enumerate_all_mcqs(
                 skips.append(SkipNote(record.image_id, kind, target.key(), "aligned"))
                 continue
             mcqs.append(
-                assemble_mcq(record.image_id, target, value, category.label,
-                             cfg, pose.mode, threshold_id)
+                build_mcq(record.image_id, target, value, category,
+                          cfg, pose.mode, threshold_id)
             )
     return mcqs, skips
 

@@ -85,6 +85,33 @@ def decode_statement(target: DescriptorTarget, text: str) -> Category | None:
     return Category(target.kind, label)
 
 
+def draw_permutation(
+    target: DescriptorTarget, true_category: Category, rng: random.Random
+) -> tuple[tuple[int, ...], int]:
+    """Seeded display order of a target's option labels, and the display
+    position of the true one.
+
+    `permutation[pos]` is the canonical label index (within the kind's
+    option labels) shown at position `pos`. Raises AlignedGroundTruth when
+    the truth itself is aligned; the caller must skip or resample that
+    target.
+    """
+    if true_category.label == ALIGNED:
+        raise AlignedGroundTruth(f"{target.key()} truth is aligned")
+    labels = OPTION_LABELS_BY_KIND[target.kind]
+    if true_category.label not in labels:
+        raise ValueError(f"label {true_category.label!r} not valid for {target.kind}")
+    permutation = list(range(len(labels)))
+    rng.shuffle(permutation)
+    return tuple(permutation), permutation.index(labels.index(true_category.label))
+
+
+def options_in_order(target: DescriptorTarget, permutation: tuple[int, ...]) -> tuple[str, ...]:
+    """The target's option sentences in the display order `permutation`."""
+    labels = OPTION_LABELS_BY_KIND[target.kind]
+    return tuple(_STATEMENT_TEXT[(target, labels[i])] for i in permutation)
+
+
 def build_options(
     target: DescriptorTarget, true_category: Category, rng: random.Random
 ) -> OptionSet:
@@ -94,17 +121,9 @@ def build_options(
     non-aligned sides). Raises AlignedGroundTruth when the truth itself is
     aligned; the caller must skip or resample that target.
     """
-    if true_category.label == ALIGNED:
-        raise AlignedGroundTruth(f"{target.key()} truth is aligned")
-    labels = OPTION_LABELS_BY_KIND[target.kind]
-    if true_category.label not in labels:
-        raise ValueError(f"label {true_category.label!r} not valid for {target.kind}")
-    permutation = list(range(len(labels)))
-    rng.shuffle(permutation)
-    options = tuple(_STATEMENT_TEXT[(target, labels[i])] for i in permutation)
-    correct_index = permutation.index(labels.index(true_category.label))
+    permutation, correct_index = draw_permutation(target, true_category, rng)
     return OptionSet(
-        options=options,
+        options=options_in_order(target, permutation),
         correct_index=correct_index,
-        permutation=tuple(permutation),
+        permutation=permutation,
     )

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -162,3 +166,78 @@ def test_validate_with_threshold_config(tmp_path, manifest, capsys):
 def test_parse_answer_reexported_for_harnesses():
     # sanity: public API parses the letter format the prompts advertise
     assert parse_answer("(a)", ["first", "second"]) == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("existing", [None, "previous dataset\n"])
+def test_failed_generate_leaves_out_as_it_was(tmp_path, manifest, jobs, existing):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(manifest.read_text() + '{"image_id": "z", "joints": [[0, 0, 0]]}\n')
+    out = tmp_path / "out" / "d.jsonl"
+    out.parent.mkdir()
+    if existing is not None:
+        out.write_text(existing)
+    assert run("generate", "--manifest", bad, "--out", out, "--jobs", jobs) == 3
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == existing
+    assert [p.name for p in out.parent.iterdir()] == ([] if existing is None else ["d.jsonl"])
+
+
+def test_generate_refuses_an_out_that_is_not_a_regular_file(tmp_path, manifest):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # A child process, so that a generator that opens the FIFO for writing
+    # blocks only until the timeout.
+    done = subprocess.run(
+        [sys.executable, "-m", "handmcq.cli", "generate", "--manifest", str(manifest),
+         "--out", str(fifo)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, timeout=60)
+    assert done.returncode == 5
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert run("generate", "--manifest", manifest, "--out", tmp_path) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "manifest.jsonl"]
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_calibration_bins_must_be_positive(tmp_path, bins):
+    with pytest.raises(SystemExit) as exc:
+        run("score", "--gold", tmp_path / "d.jsonl", "--pred", tmp_path / "p.jsonl",
+            "--calibration-bins", bins)
+    assert exc.value.code == 2
+
+
+@pytest.fixture
+def gold(tmp_path, manifest):
+    dataset = tmp_path / "d.jsonl"
+    assert run("generate", "--manifest", manifest, "--out", dataset, "--seed", 1) == 0
+    return list(iter_dataset(dataset)), dataset
+
+
+@pytest.mark.parametrize("bad_fields", [
+    {"raw_answer": 5},
+    {"raw_answer": "(a)", "confidence": "high"},
+    {"option_confidences": [float("nan"), 0.5, 0.2, 0.1]},
+    {"option_confidences": "0.9"},
+], ids=["int_answer", "word_confidence", "nan_option_confidence", "string_option_confidences"])
+def test_score_rejects_bad_prediction_with_line_number(tmp_path, gold, capsys, bad_fields):
+    mcqs, dataset = gold
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": mcqs[0].question_id, "raw_answer": "(a)"}) + "\n"
+                    + json.dumps({"question_id": mcqs[1].question_id, **bad_fields}) + "\n")
+    capsys.readouterr()
+    assert run("score", "--gold", dataset, "--pred", pred) == 3
+    assert "line 2:" in capsys.readouterr().err
+
+
+def test_score_rejects_confidences_without_mass_on_the_options(tmp_path, gold, capsys):
+    mcqs, dataset = gold
+    relpos = next(m for m in mcqs if len(m.options) == 2)
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": relpos.question_id,
+                                "option_confidences": [0.0, 0.0, 0.3, 0.7]}) + "\n")
+    capsys.readouterr()
+    assert run("score", "--gold", dataset, "--pred", pred) == 3
+    assert relpos.question_id in capsys.readouterr().err

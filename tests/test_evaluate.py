@@ -11,6 +11,7 @@ from handmcq.errors import (
     NotOrdinal,
     ParseError,
     UnknownQuestionId,
+    ZeroConfidenceMass,
 )
 from handmcq.evaluate import (
     PredictionRecord,
@@ -96,6 +97,12 @@ def test_resolve_prediction_per_option_confidences():
     assert confidence == pytest.approx(0.6)
     scalar = PredictionRecord("q", raw_answer="(a)", confidence=0.75)
     assert resolve_prediction(scalar, options) == (0, 0.75)
+
+
+def test_resolve_prediction_rejects_zero_mass_on_visible_options():
+    pred = PredictionRecord("q", option_confidences=(0.0, 0.0, 0.0, 1.0))
+    with pytest.raises(ZeroConfidenceMass, match="q"):
+        resolve_prediction(pred, ("one", "two"))
 
 
 # ---------------------------------------------------------------- scoring
@@ -189,6 +196,13 @@ def test_score_errors():
         score(gold, [letter_pred("missing", 0)])
     with pytest.raises(DuplicatePrediction):
         score(gold, [letter_pred("q0", 0), letter_pred("q0", 1)])
+
+
+def test_score_rejects_nonpositive_calibration_bins():
+    gold = [make_gold("angle", "straight", "q0")]
+    for bins in (0, -2):
+        with pytest.raises(ValueError, match="calibration_bins"):
+            score(gold, [letter_pred("q0", 3, confidence=0.9)], calibration_bins=bins)
 
 
 def test_score_order_invariant():
@@ -386,3 +400,28 @@ def test_load_predictions_rejects_bad_rows(tmp_path):
     path.write_text("nonsense\n")
     with pytest.raises(ParseError):
         list(load_predictions(path))
+
+
+@pytest.mark.parametrize("bad", [
+    {"question_id": "q1", "raw_answer": 5},
+    {"question_id": "q1", "raw_answer": None},
+    {"question_id": "q1", "raw_answer": "(a)", "confidence": "high"},
+    {"question_id": "q1", "raw_answer": "(a)", "confidence": [0.5]},
+    {"question_id": "q1", "option_confidences": [float("nan"), 0.5, 0.2, 0.1]},
+    {"question_id": "q1", "option_confidences": [float("inf"), 0.5]},
+    {"question_id": "q1", "option_confidences": "1"},
+    {"question_id": "q1", "option_confidences": 0.7},
+    {"question_id": "q1", "option_confidences": ["x", 0.5]},
+    {"question_id": 7, "raw_answer": "(a)"},
+    {"question_id": ["q1"], "raw_answer": "(a)"},
+], ids=["int_answer", "null_answer", "word_confidence", "list_confidence",
+        "nan_option_confidence", "inf_option_confidence", "string_option_confidences",
+        "scalar_option_confidences", "word_option_confidence", "int_question_id",
+        "list_question_id"])
+def test_load_predictions_rejects_malformed_values_with_line_number(tmp_path, bad):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"question_id": "q0", "raw_answer": "(a)"}) + "\n"
+                    + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(load_predictions(path))
+    assert exc.value.line_no == 2
