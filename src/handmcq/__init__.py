@@ -52,7 +52,7 @@ from .skeleton import (
     catalog,
     joint_display_name,
 )
-from .textgen import OptionSet, Statement, build_options, render_statement
+from .textgen import render_statement
 
 __all__ = [
     "__version__",
@@ -92,8 +92,5 @@ __all__ = [
     "angle_triplet",
     "catalog",
     "joint_display_name",
-    "OptionSet",
-    "Statement",
-    "build_options",
     "render_statement",
 ]

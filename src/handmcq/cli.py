@@ -92,14 +92,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config_object(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return loaded
+
+
 def _load_generation_config(args) -> GenerationConfig:
     cfg_dict = {
         "seed": args.seed,
         "per_type_samples": args.samples_per_type,
     }
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg_dict.update(json.load(fh))
+        cfg_dict.update(_load_config_object(args.config))
     return GenerationConfig.from_dict(cfg_dict)
 
 
@@ -113,8 +120,7 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     thresholds = None
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _load_config_object(args.config)
         thresholds = ThresholdConfig.from_dict(loaded.get("thresholds", loaded))
     report = validate_dataset(args.manifest, args.dataset, thresholds=thresholds)
     print(f"questions: {report.total}  mismatches: {len(report.mismatches)}  "

@@ -44,10 +44,12 @@ import numpy as np
 from ._version import __version__
 from .discretize import (
     DEFAULT_THRESHOLDS,
-    LABELS_BY_KIND,
+    OPTION_LABELS_BY_KIND,
     Category,
     ThresholdConfig,
+    _is_int,
     categorize,
+    check_fields,
 )
 from .errors import DegenerateBone, DegeneratePose, DuplicateImageId, ParseError
 from .geometry import NormalizedPose, RawPose, descriptor_value, normalize_pose
@@ -123,13 +125,18 @@ class GenerationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenerationConfig":
-        return cls(
-            seed=int(d.get("seed", 0)),
-            per_type_samples=int(d.get("per_type_samples", 5)),
-            thresholds=ThresholdConfig.from_dict(d.get("thresholds", {})),
-            axis_flips=tuple(d.get("axis_flips", (1, 1, 1))),
-            resample_on_aligned=bool(d.get("resample_on_aligned", True)),
-        )
+        """Raises ValueError for a non-object, an unknown key or a wrongly
+        typed value; missing keys take their defaults."""
+        check_fields(d, "config", {
+            "seed": _is_int,
+            "per_type_samples": _is_int,
+            "thresholds": lambda v: isinstance(v, dict),
+            "axis_flips": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+            "resample_on_aligned": lambda v: isinstance(v, bool),
+        })
+        if "thresholds" in d:
+            d = {**d, "thresholds": ThresholdConfig.from_dict(d["thresholds"])}
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -160,17 +167,21 @@ class Mcq:
         target = target_from_fields(
             d["kind"], d["target"]["subject"], d["target"].get("object")
         )
-        options = tuple(d["options"])
-        correct_index = int(d["correct_index"])
-        if not 0 <= correct_index < len(options):
-            raise ValueError(f"correct_index {correct_index} out of range")
+        question_id, image_id, options = d["question_id"], d["image_id"], d["options"]
+        if not isinstance(question_id, str) or not isinstance(image_id, str):
+            raise ValueError("question_id and image_id must be strings")
+        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+            raise ValueError("options must be a list of strings")
+        correct_index = d["correct_index"]
+        if not _is_int(correct_index) or not 0 <= correct_index < len(options):
+            raise ValueError(f"correct_index {correct_index!r} out of range")
         return cls(
-            question_id=d["question_id"],
-            image_id=d["image_id"],
-            kind=d["kind"],
+            question_id=question_id,
+            image_id=image_id,
+            kind=target.kind,
             target=target,
             prompt=d["prompt"],
-            options=options,
+            options=tuple(options),
             correct_index=correct_index,
             provenance=d.get("provenance", {}),
         )
@@ -265,7 +276,6 @@ def normalized_pose_for(record: PoseRecord, cfg: GenerationConfig) -> Normalized
         signs = np.asarray(flips, dtype=np.float64)
         raw = RawPose(
             joints=raw.joints * signs,
-            hand_side=raw.hand_side,
             mesh_vertices=None if raw.mesh_vertices is None else raw.mesh_vertices * signs,
         )
     return normalize_pose(raw)
@@ -310,9 +320,9 @@ def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> _Renderin
 # entries: 15 angle targets x 4! orders + 23 distance x 3! + 69 relpos x 2!.
 _RENDERINGS: dict[tuple[DescriptorTarget, tuple[int, ...]], _Rendering] = {}
 
-# label -> its JSON string, for every label of every kind
+# label -> its JSON string, for every option label of every kind
 _LABEL_JSON = {label: _canonical_json(label)
-               for labels in LABELS_BY_KIND.values() for label in labels}
+               for labels in OPTION_LABELS_BY_KIND.values() for label in labels}
 
 
 def assemble_mcq(
@@ -359,6 +369,21 @@ def build_mcq(
     )
 
 
+def measure(
+    image_id: str, pose: NormalizedPose, target: DescriptorTarget, thresholds: ThresholdConfig
+) -> tuple[float, Category] | SkipNote:
+    """A target's value and category on a pose, or the note that skips it:
+    a degenerate bone or an aligned truth."""
+    try:
+        value = descriptor_value(pose, target)
+    except DegenerateBone as e:
+        return SkipNote(image_id, target.kind, target.key(), "degenerate_bone", str(e))
+    category = categorize(target.kind, value, thresholds)
+    if category.is_aligned:
+        return SkipNote(image_id, target.kind, target.key(), "aligned")
+    return value, category
+
+
 def _sample_targets(
     record: PoseRecord, cfg: GenerationConfig
 ) -> tuple[str | None, list[tuple[DescriptorTarget, float, Category]], list[SkipNote]]:
@@ -384,16 +409,11 @@ def _sample_targets(
         for target in pool:
             if emitted == budget:
                 break
-            try:
-                value = descriptor_value(pose, target)
-            except DegenerateBone as e:
-                skips.append(SkipNote(record.image_id, kind, target.key(), "degenerate_bone", str(e)))
+            measured = measure(record.image_id, pose, target, cfg.thresholds)
+            if isinstance(measured, SkipNote):
+                skips.append(measured)
                 continue
-            category = categorize(kind, value, cfg.thresholds)
-            if category.is_aligned:
-                skips.append(SkipNote(record.image_id, kind, target.key(), "aligned"))
-                continue
-            picks.append((target, value, category))
+            picks.append((target, *measured))
             emitted += 1
         if cfg.resample_on_aligned and emitted < budget:
             skips.append(
@@ -551,6 +571,8 @@ def read_header(path) -> dict | None:
     except json.JSONDecodeError:
         return None
     if isinstance(obj, dict) and "__header__" in obj:
+        if not isinstance(obj["__header__"], dict):
+            raise ParseError(1, "__header__ must be a JSON object")
         return obj["__header__"]
     return None
 
@@ -574,20 +596,20 @@ def iter_dataset(path) -> Iterator[Mcq]:
                 raise ParseError(line_no, f"bad MCQ record: {e}") from None
 
 
+def gold_category(mcq: Mcq) -> Category:
+    """The category a question's correct option states. Raises ValueError
+    when that option is not a rendered statement of the question's target."""
+    category = decode_statement(mcq.target, mcq.options[mcq.correct_index])
+    if category is None:
+        raise ValueError(f"{mcq.question_id}: correct option is not a rendered statement")
+    return category
+
+
 def label_stats(dataset_path) -> dict[str, dict[str, int]]:
-    """Ground-truth category counts per kind, zero-filled over every
-    non-aligned label, in value order."""
+    """Counts of the labels the correct options state, per kind,
+    zero-filled over every non-aligned label, in value order."""
     stats: dict[str, Counter] = {k: Counter() for k in KINDS}
     for mcq in iter_dataset(dataset_path):
-        label = mcq.provenance.get("category")
-        if label is None:
-            label = decode_statement(mcq.target, mcq.options[mcq.correct_index]).label
-        stats[mcq.kind][label] += 1
-    out: dict[str, dict[str, int]] = {}
-    for kind in KINDS:
-        out[kind] = {
-            label: stats[kind].get(label, 0)
-            for label in LABELS_BY_KIND[kind]
-            if label != "aligned"
-        }
-    return out
+        stats[mcq.kind][gold_category(mcq).label] += 1
+    return {kind: {label: stats[kind][label] for label in OPTION_LABELS_BY_KIND[kind]}
+            for kind in KINDS}

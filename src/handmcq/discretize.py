@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import OutOfRange
@@ -42,6 +43,30 @@ OPTION_LABELS_BY_KIND: dict[str, tuple[str, ...]] = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
+def check_fields(d, what: str, checks: dict) -> None:
+    """Check a config object: a dict whose keys all appear in `checks` and
+    whose values pass the key's check. Raises ValueError naming the key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    for key, value in d.items():
+        if key not in checks:
+            raise ValueError(f"{what}: unknown key {key!r}")
+        if not checks[key](value):
+            raise ValueError(f"{what}: {key} has the wrong type: {value!r}")
+
+
 @dataclass(frozen=True)
 class Category:
     """A discrete label for one descriptor kind."""
@@ -53,17 +78,13 @@ class Category:
     def is_aligned(self) -> bool:
         return self.label == ALIGNED
 
-    def position(self) -> int:
-        """Rank of this label in the kind's value ordering (aligned included)."""
-        return LABELS_BY_KIND[self.kind].index(self.label)
-
 
 @dataclass(frozen=True)
 class ThresholdConfig:
     """Cut points between categories.
 
     Defaults: angle bins split at 105/150/170 degrees, distance bins at
-    0.1/0.3, and the relative-position aligned band is (-0.15, 0.15].
+    0.1/0.3, and the relative-position aligned band is [-0.15, 0.15).
     """
 
     angle_cuts: tuple[float, float, float] = (105.0, 150.0, 170.0)
@@ -74,6 +95,10 @@ class ThresholdConfig:
         object.__setattr__(self, "angle_cuts", tuple(float(c) for c in self.angle_cuts))
         object.__setattr__(self, "distance_cuts", tuple(float(c) for c in self.distance_cuts))
         object.__setattr__(self, "relpos_band", float(self.relpos_band))
+        if len(self.angle_cuts) != 3 or len(self.distance_cuts) != 2:
+            raise ValueError("angle_cuts needs 3 cuts and distance_cuts 2")
+        if not all(map(math.isfinite, (*self.angle_cuts, *self.distance_cuts, self.relpos_band))):
+            raise ValueError("every cut and relpos_band must be finite")
         if list(self.angle_cuts) != sorted(set(self.angle_cuts)):
             raise ValueError("angle_cuts must be strictly increasing")
         if list(self.distance_cuts) != sorted(set(self.distance_cuts)):
@@ -95,11 +120,11 @@ class ThresholdConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdConfig":
-        return cls(
-            angle_cuts=tuple(d.get("angle_cuts", (105.0, 150.0, 170.0))),
-            distance_cuts=tuple(d.get("distance_cuts", (0.1, 0.3))),
-            relpos_band=d.get("relpos_band", 0.15),
-        )
+        """Raises ValueError for a non-object, an unknown key or a wrongly
+        typed value; missing keys take their defaults."""
+        check_fields(d, "thresholds", {"angle_cuts": _is_numbers, "distance_cuts": _is_numbers,
+                                       "relpos_band": _is_number})
+        return cls(**d)
 
 
 DEFAULT_THRESHOLDS = ThresholdConfig()

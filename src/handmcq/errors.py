@@ -21,20 +21,9 @@ class OutOfRange(HandMcqError):
     """Raised when a continuous value lies outside its categorizable domain."""
 
 
-class AlignedNotRenderable(HandMcqError):
-    """Raised when asked to render a sentence for the 'aligned' category."""
-
-
-class AlignedGroundTruth(HandMcqError):
-    """Raised when a relative-position target's true category is 'aligned'.
-
-    Such targets are excluded from question generation because the visual
-    cue is ambiguous; callers must skip or resample.
-    """
-
-
-# The oracle raises the same condition under this name.
-AlignedTruth = AlignedGroundTruth
+class AlignedTruth(HandMcqError):
+    """Raised for an 'aligned' relative-position truth. Its visual cue is
+    ambiguous, so it is never rendered or asked: callers skip or resample."""
 
 
 class ParseError(HandMcqError):
@@ -53,6 +42,10 @@ class ParseError(HandMcqError):
 
 class DuplicateImageId(HandMcqError):
     """Two manifest records share the same image_id."""
+
+
+class DuplicateQuestionId(HandMcqError):
+    """Two gold questions share the same question_id."""
 
 
 class NoMatchingOption(HandMcqError):

@@ -18,10 +18,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .dataset import Mcq, _stable_u64, iter_dataset
+from .dataset import Mcq, _stable_u64, gold_category, iter_dataset
 from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category
 from .errors import (
     DuplicatePrediction,
+    DuplicateQuestionId,
     MissingConfidence,
     NotOrdinal,
     ParseError,
@@ -263,19 +264,18 @@ class MetricsReport:
 
 
 def _gold_index(gold) -> dict[str, Mcq]:
-    """Accept a dataset path, an iterable of Mcq, or an id-keyed dict."""
+    """Accept a dataset path, an iterable of Mcq, or an id-keyed dict.
+    Raises DuplicateQuestionId when two questions share an id."""
     if isinstance(gold, dict):
         return gold
     if isinstance(gold, (str, bytes)) or hasattr(gold, "__fspath__"):
         gold = iter_dataset(gold)
-    return {mcq.question_id: mcq for mcq in gold}
-
-
-def _gold_label(mcq: Mcq) -> str:
-    category = decode_statement(mcq.target, mcq.options[mcq.correct_index])
-    if category is None:
-        raise ValueError(f"{mcq.question_id}: correct option is not a rendered statement")
-    return category.label
+    index: dict[str, Mcq] = {}
+    for mcq in gold:
+        if mcq.question_id in index:
+            raise DuplicateQuestionId(f"question_id {mcq.question_id!r}")
+        index[mcq.question_id] = mcq
+    return index
 
 
 def _empty_confusion(kind: str) -> dict[str, dict[str, float]]:
@@ -319,16 +319,13 @@ def _score_resolved(
         correct = index == mcq.correct_index
         if correct:
             metric.correct += 1
-        gold_label = _gold_label(mcq)
+        gold_cat = gold_category(mcq)
         pred = decode_statement(mcq.target, mcq.options[index])
-        pred_label = pred.label if pred else None
-        if pred_label is not None:
+        if pred is not None:
             matrix = report.confusion.setdefault(kind, _empty_confusion(kind))
-            matrix[gold_label][pred_label] += 1
+            matrix[gold_cat.label][pred.label] += 1
             if kind in ORDINAL_KINDS:
-                gold_pos = LABELS_BY_KIND[kind].index(gold_label)
-                pred_pos = LABELS_BY_KIND[kind].index(pred_label)
-                abs_err[kind] += abs(pred_pos - gold_pos)
+                abs_err[kind] += abs(ordinal_index(pred) - ordinal_index(gold_cat))
                 err_n[kind] += 1
         if calib is not None:
             if confidence is None:

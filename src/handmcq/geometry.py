@@ -28,12 +28,9 @@ class RawPose:
     """21 joints in arbitrary consistent units, plus an optional hand mesh."""
 
     joints: np.ndarray
-    hand_side: str = "right"
     mesh_vertices: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.hand_side != "right":
-            raise ValueError("only right hands are supported; mirror before ingestion")
         joints = np.asarray(self.joints, dtype=np.float64)
         if joints.shape != (NUM_JOINTS, 3):
             raise ValueError(f"expected ({NUM_JOINTS}, 3) joints, got {joints.shape}")

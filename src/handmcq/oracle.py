@@ -18,6 +18,7 @@ from .dataset import (
     build_mcq,
     iter_dataset,
     load_manifest,
+    measure,
     normalized_pose_for,
     read_header,
 )
@@ -28,9 +29,10 @@ from .errors import (
     DegeneratePose,
     MissingPose,
     NoMatchingOption,
+    ParseError,
 )
 from .geometry import NormalizedPose, descriptor_value
-from .skeleton import KINDS, catalog
+from .skeleton import catalog_all
 from .textgen import decode_statement, render_statement
 
 
@@ -47,9 +49,7 @@ def answer_mcq(
     """
     value = descriptor_value(pose, mcq.target)
     category = categorize(mcq.kind, value, thresholds)
-    if category.is_aligned:
-        raise AlignedTruth(f"{mcq.question_id}: truth is aligned")
-    truth_text = render_statement(mcq.target, category).text
+    truth_text = render_statement(mcq.target, category)
     for i, option in enumerate(mcq.options):
         if option == truth_text:
             return i
@@ -69,28 +69,16 @@ def enumerate_all_mcqs(
     try:
         pose = normalized_pose_for(record, cfg)
     except DegeneratePose as e:
-        for kind in KINDS:
-            for target in catalog(kind):
-                skips.append(SkipNote(record.image_id, kind, target.key(),
-                                      "degenerate_pose", str(e)))
-        return mcqs, skips
+        return mcqs, [SkipNote(record.image_id, t.kind, t.key(), "degenerate_pose", str(e))
+                      for t in catalog_all()]
     threshold_id = cfg.thresholds.config_id()
-    for kind in KINDS:
-        for target in catalog(kind):
-            try:
-                value = descriptor_value(pose, target)
-            except DegenerateBone as e:
-                skips.append(SkipNote(record.image_id, kind, target.key(),
-                                      "degenerate_bone", str(e)))
-                continue
-            category = categorize(kind, value, cfg.thresholds)
-            if category.is_aligned:
-                skips.append(SkipNote(record.image_id, kind, target.key(), "aligned"))
-                continue
-            mcqs.append(
-                build_mcq(record.image_id, target, value, category,
-                          cfg, pose.mode, threshold_id)
-            )
+    for target in catalog_all():
+        measured = measure(record.image_id, pose, target, cfg.thresholds)
+        if isinstance(measured, SkipNote):
+            skips.append(measured)
+        else:
+            mcqs.append(build_mcq(record.image_id, target, *measured,
+                                  cfg, pose.mode, threshold_id))
     return mcqs, skips
 
 
@@ -124,7 +112,10 @@ def validate_dataset(
     mismatch entry; aligned or degenerate recomputations land in skipped.
     """
     header = read_header(dataset_path) or {}
-    cfg = GenerationConfig.from_dict(header.get("config", {}))
+    try:
+        cfg = GenerationConfig.from_dict(header.get("config", {}))
+    except ValueError as e:
+        raise ParseError(1, f"dataset header: {e}") from None
     if thresholds is None:
         thresholds = cfg.thresholds
     records = {rec.image_id: rec for rec in load_manifest(manifest_path)}

@@ -211,9 +211,14 @@ def catalog_all() -> tuple[DescriptorTarget, ...]:
     return tuple(t for kind in KINDS for t in _CATALOGS[kind])
 
 
+# (kind, subject, object) -> the catalog's own target
+_BY_FIELDS = {(t.kind, t.subject, t.object): t for t in catalog_all()}
+
+
 def target_from_fields(kind: str, subject: int, object: int | None) -> DescriptorTarget:
-    """Rebuild a catalog target from serialized fields, validating membership."""
-    t = DescriptorTarget(kind, subject, object)
-    if t not in _CATALOGS.get(kind, ()):
-        raise KeyError(f"{t.key()} is not a catalog target")
+    """The catalog target with these serialized fields. Raises KeyError when
+    there is none, including for joints that are not ints (a bool, a float)."""
+    t = _BY_FIELDS.get((kind, subject, object))
+    if t is None or type(subject) is not int or not (object is None or type(object) is int):
+        raise KeyError(f"{DescriptorTarget(kind, subject, object).key()} is not a catalog target")
     return t

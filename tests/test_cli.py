@@ -10,6 +10,7 @@ import pytest
 from conftest import random_joints, synthetic_manifest
 from handmcq.cli import main
 from handmcq.dataset import iter_dataset, read_header
+from handmcq.discretize import OPTION_LABELS_BY_KIND
 from handmcq.evaluate import parse_answer
 
 
@@ -241,3 +242,117 @@ def test_score_rejects_confidences_without_mass_on_the_options(tmp_path, gold, c
     capsys.readouterr()
     assert run("score", "--gold", dataset, "--pred", pred) == 3
     assert relpos.question_id in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,named", [
+    ("generate", {"threshold": {"relpos_band": 0.2}}, "'threshold'"),
+    ("generate", {"resample_on_aligned": "no"}, "resample_on_aligned"),
+    ("generate", [1, 2], "JSON object"),
+    ("generate", {"per_type_samples": None}, "per_type_samples"),
+    ("generate", {"thresholds": 5}, "thresholds"),
+    ("generate", {"axis_flips": 5}, "axis_flips"),
+    ("generate", {"seed": True}, "seed"),
+    ("generate", {"thresholds": {"angle_cuts": "abc"}}, "angle_cuts"),
+    ("generate", {"thresholds": {"relpos_band": 0.2, "band": 0.1}}, "'band'"),
+    ("generate", {"thresholds": {"relpos_band": float("nan")}}, "relpos_band"),
+    ("generate", {"thresholds": {"angle_cuts": [100, 150, float("inf")]}}, "finite"),
+    ("validate", [1, 2], "JSON object"),
+    ("validate", {"thresholds": 5}, "thresholds"),
+    ("validate", {"relpos_band": "wide"}, "relpos_band"),
+], ids=["typo_key", "string_bool", "top_level_list", "null_samples", "int_thresholds",
+        "int_axis_flips", "bool_seed", "string_cuts", "typo_threshold_key", "nan_band", "inf_cut",
+        "validate_top_level_list", "validate_int_thresholds", "validate_string_band"])
+def test_bad_config_exits_3(tmp_path, manifest, capsys, command, config, named):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    dataset = tmp_path / "d.jsonl"
+    if command == "generate":
+        argv = ("generate", "--manifest", manifest, "--out", dataset, "--config", config_path)
+    else:
+        assert run("generate", "--manifest", manifest, "--out", dataset) == 0
+        argv = ("validate", "--manifest", manifest, "--dataset", dataset, "--config", config_path)
+    capsys.readouterr()
+    assert run(*argv) == 3
+    assert named in capsys.readouterr().err
+    assert dataset.exists() == (command == "validate")
+
+
+def _set_header(header, payload):
+    header["__header__"] = payload
+
+
+def _set_config(header, payload):
+    header["__header__"]["config"] = payload
+
+
+def _set_thresholds(header, payload):
+    header["__header__"]["config"]["thresholds"] = payload
+
+
+@pytest.mark.parametrize("tamper,payload", [
+    (_set_header, 5),
+    (_set_header, ["tool", "handmcq"]),
+    (_set_config, "default"),
+    (_set_thresholds, 5),
+    (_set_thresholds, {"relpos_band": "wide"}),
+], ids=["int_header", "list_header", "string_config", "int_thresholds", "string_band"])
+def test_validate_rejects_bad_dataset_header(tmp_path, manifest, capsys, tamper, payload):
+    dataset = tmp_path / "d.jsonl"
+    assert run("generate", "--manifest", manifest, "--out", dataset) == 0
+    lines = dataset.read_text().splitlines()
+    header = json.loads(lines[0])
+    tamper(header, payload)
+    dataset.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert run("validate", "--manifest", manifest, "--dataset", dataset) == 3
+    assert "line 1:" in capsys.readouterr().err
+
+
+def test_validate_rejects_float_joint_in_dataset(tmp_path, manifest, capsys):
+    dataset = tmp_path / "d.jsonl"
+    assert run("generate", "--manifest", manifest, "--out", dataset) == 0
+    lines = dataset.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["target"]["subject"] = float(record["target"]["subject"])
+    lines[1] = json.dumps(record)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("validate", "--manifest", manifest, "--dataset", dataset) == 3
+    assert "line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "baseline"])
+def test_duplicate_gold_question_id_exits_3(tmp_path, gold, capsys, command):
+    mcqs, dataset = gold
+    lines = dataset.read_text().splitlines()
+    dataset.write_text("\n".join([*lines, lines[7]]) + "\n")
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": mcqs[0].question_id, "raw_answer": "(a)"}) + "\n")
+    capsys.readouterr()
+    if command == "score":
+        assert run("score", "--gold", dataset, "--pred", pred) == 3
+    else:
+        assert run("baseline", "--gold", dataset) == 3
+    err = capsys.readouterr().err
+    assert "DuplicateQuestionId" in err
+    assert mcqs[6].question_id in err
+
+
+def test_stats_count_the_correct_option_not_the_provenance(tmp_path, manifest, capsys):
+    dataset = tmp_path / "d.jsonl"
+    assert run("generate", "--manifest", manifest, "--out", dataset, "--seed", 2) == 0
+    capsys.readouterr()
+    assert run("stats", "--dataset", dataset, "--json") == 0
+    expected = json.loads(capsys.readouterr().out)
+    lines = dataset.read_text().splitlines()
+    record = json.loads(lines[1])
+    stored = record["provenance"]["category"]
+    record["provenance"]["category"] = next(
+        label for label in OPTION_LABELS_BY_KIND[record["kind"]] if label != stored)
+    lines[1] = json.dumps(record)
+    record = json.loads(lines[2])
+    record["provenance"] = "not an object"
+    lines[2] = json.dumps(record)
+    dataset.write_text("\n".join(lines) + "\n")
+    assert run("stats", "--dataset", dataset, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == expected

@@ -17,11 +17,13 @@ from handmcq.dataset import (
     GenerationConfig,
     Mcq,
     PoseRecord,
+    SkipNote,
     generate_dataset,
     generate_image_mcqs,
     iter_dataset,
     label_stats,
     load_manifest,
+    measure,
     normalized_pose_for,
     question_id,
     read_header,
@@ -29,7 +31,7 @@ from handmcq.dataset import (
 from handmcq.discretize import ThresholdConfig, categorize
 from handmcq.errors import DuplicateImageId, ParseError
 from handmcq.geometry import RawPose, descriptor_value
-from handmcq.skeleton import JOINT_PAIRS, KINDS, catalog
+from handmcq.skeleton import JOINT_PAIRS, KINDS, catalog, catalog_all
 from handmcq.textgen import decode_statement
 
 
@@ -159,6 +161,27 @@ def test_no_resampling_when_disabled():
     reasons = Counter((s.kind, s.reason) for s in skips)
     assert reasons[("relpos_x", "aligned")] == 5  # only the first five draws
     assert ("relpos_x", "pool_exhausted") not in reasons
+
+
+def test_measure_value_category_or_skip_note():
+    cfg = GenerationConfig()
+    pose = normalized_pose_for(make_record(aligned_free_joints()), cfg)
+    for target in catalog_all():
+        value, category = measure("img0", pose, target, cfg.thresholds)
+        assert value == descriptor_value(pose, target)
+        assert category == categorize(target.kind, value, cfg.thresholds)
+    joints = aligned_free_joints()
+    joints[:, 0] = 0.3
+    flat = normalized_pose_for(make_record(joints), cfg)
+    target = catalog("relpos_x")[0]
+    assert measure("img1", flat, target, cfg.thresholds) == SkipNote(
+        "img1", "relpos_x", target.key(), "aligned")
+    joints = aligned_free_joints()
+    target = catalog("angle")[0]
+    joints[target.subject] = joints[target.subject + 1]  # zero-length bone
+    note = measure("img2", normalized_pose_for(make_record(joints), cfg), target, cfg.thresholds)
+    assert (note.image_id, note.kind, note.target_key, note.reason) == (
+        "img2", "angle", target.key(), "degenerate_bone")
 
 
 def test_degenerate_pose_skips_whole_image():
@@ -329,6 +352,39 @@ def test_iter_dataset_rejects_corrupt_line(tmp_path, tiny_manifest):
     out.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError):
         list(iter_dataset(out))
+
+
+def _first_line_of_kind(lines, kind):
+    return next(i for i, line in enumerate(lines) if json.loads(line).get("kind") == kind)
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("distance", "subject", float),
+    ("angle", "subject", lambda s: True),  # equal to joint 1, the thumb CMC
+    ("distance", "object", float),
+    ("distance", "options", lambda opts: "abc"),
+    ("distance", "options", lambda opts: [*opts[:2], 3]),
+    ("angle", "question_id", lambda q: 5),
+    ("angle", "image_id", lambda i: None),
+    ("angle", "correct_index", lambda c: True),
+    ("angle", "correct_index", str),
+], ids=["float_subject", "bool_subject", "float_object", "string_options",
+        "int_option", "int_question_id", "null_image_id", "bool_index", "string_index"])
+def test_iter_dataset_rejects_mistyped_fields(tmp_path, tiny_manifest, kind, field, value):
+    out = tmp_path / "d.jsonl"
+    generate_dataset(tiny_manifest, GenerationConfig(seed=3), out)
+    lines = out.read_text().splitlines()
+    i = _first_line_of_kind(lines, kind)
+    record = json.loads(lines[i])
+    if field in ("subject", "object"):
+        record["target"][field] = value(record["target"][field])
+    else:
+        record[field] = value(record[field])
+    lines[i] = json.dumps(record)
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(iter_dataset(out))
+    assert exc.value.line_no == i + 1
 
 
 # ------------------------------------------------------------ label stats

@@ -140,9 +140,6 @@ def test_threshold_config_id_and_round_trip():
 
 
 def test_category_position():
-    assert Category("angle", "straight").position() == 3
-    assert Category("distance", "close to").position() == 0
-    assert Category("relpos_y", ALIGNED).position() == 1
     assert Category("relpos_y", ALIGNED).is_aligned
     assert not Category("relpos_y", "above").is_aligned
 

@@ -7,6 +7,7 @@ from handmcq.dataset import Mcq
 from handmcq.discretize import Category, OPTION_LABELS_BY_KIND
 from handmcq.errors import (
     DuplicatePrediction,
+    DuplicateQuestionId,
     MissingConfidence,
     NotOrdinal,
     ParseError,
@@ -33,7 +34,7 @@ def make_gold(kind: str, label: str, qid: str, image_id: str = "img") -> Mcq:
     """A gold question with options in canonical label order (no shuffle)."""
     target = KIND_TARGETS[kind]
     labels = OPTION_LABELS_BY_KIND[kind]
-    options = tuple(render_statement(target, Category(kind, lb)).text for lb in labels)
+    options = tuple(render_statement(target, Category(kind, lb)) for lb in labels)
     return Mcq(
         question_id=qid,
         image_id=image_id,
@@ -303,6 +304,17 @@ def test_random_baseline_anchors():
     assert report.per_kind["relpos_x"].accuracy == pytest.approx(50.0, abs=3.0)
     again = random_baseline(gold, seed=1, trials=200)
     assert report.to_dict() == again.to_dict()
+
+
+def test_duplicate_gold_question_id_rejected():
+    gold = [make_gold("angle", "straight", "q0"), make_gold("distance", "close to", "q1"),
+            make_gold("angle", "bent inward", "q0")]
+    with pytest.raises(DuplicateQuestionId, match="'q0'"):
+        score(gold, [letter_pred("q1", 0)])
+    with pytest.raises(DuplicateQuestionId, match="'q0'"):
+        random_baseline(gold)
+    with pytest.raises(DuplicateQuestionId):
+        random_baseline([gold[0], gold[0]])
 
 
 def test_random_baseline_validates_trials():

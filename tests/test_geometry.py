@@ -31,8 +31,6 @@ def pose_with_points(assignments: dict[int, tuple]) -> NormalizedPose:
 def test_raw_pose_validation():
     with pytest.raises(ValueError):
         RawPose(joints=np.zeros((20, 3)))
-    with pytest.raises(ValueError):
-        RawPose(joints=np.zeros((21, 3)), hand_side="left")
     bad = np.zeros((21, 3))
     bad[3, 1] = float("nan")
     with pytest.raises(ValueError):

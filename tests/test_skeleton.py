@@ -143,6 +143,24 @@ def test_target_from_fields_round_trip():
         target_from_fields("angle", joint_index("index_tip"), None)
 
 
+def test_target_from_fields_returns_the_catalog_instance():
+    for t in catalog_all():
+        assert target_from_fields(t.kind, t.subject, t.object) is t
+
+
+@pytest.mark.parametrize("subject,obj", [
+    (True, None),  # a bool is not joint 1
+    (1.0, None),
+    ("1", None),
+    (float(JOINT_PAIRS[0][0]), JOINT_PAIRS[0][1]),
+    (JOINT_PAIRS[0][0], float(JOINT_PAIRS[0][1])),
+])
+def test_target_from_fields_rejects_joints_that_are_not_ints(subject, obj):
+    kind = "angle" if obj is None else "distance"
+    with pytest.raises(KeyError):
+        target_from_fields(kind, subject, obj)
+
+
 def test_joint_index_unknown_name():
     with pytest.raises(KeyError):
         joint_index("pinky_tip")

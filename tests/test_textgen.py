@@ -1,15 +1,23 @@
 import random
+from collections import namedtuple
 
 import pytest
 
 from handmcq.discretize import ALIGNED, OPTION_LABELS_BY_KIND, Category
-from handmcq.errors import AlignedGroundTruth, AlignedNotRenderable
+from handmcq.errors import AlignedTruth
 from handmcq.skeleton import DescriptorTarget, catalog, joint_index
-from handmcq.textgen import build_options, decode_statement, render_statement
+from handmcq.textgen import decode_statement, draw_permutation, options_in_order, render_statement
+
+Options = namedtuple("Options", "options correct_index permutation")
 
 
 def target_of(kind, subject, obj=None):
     return DescriptorTarget(kind, joint_index(subject), None if obj is None else joint_index(obj))
+
+
+def draw_options(target, truth, rng):
+    permutation, correct_index = draw_permutation(target, truth, rng)
+    return Options(options_in_order(target, permutation), correct_index, permutation)
 
 
 def test_render_pair_worked_example():
@@ -17,7 +25,7 @@ def test_render_pair_worked_example():
         target_of("distance", "middle_dip", "ring_dip"),
         Category("distance", "close to"),
     )
-    assert stmt.text == (
+    assert stmt == (
         "The distal interphalangeal joint of the middle finger is close to "
         "the distal interphalangeal joint of the ring finger."
     )
@@ -27,7 +35,7 @@ def test_render_angle_example():
     stmt = render_statement(
         target_of("angle", "index_pip"), Category("angle", "straight")
     )
-    assert stmt.text == (
+    assert stmt == (
         "The proximal interphalangeal joint of the index finger is straight."
     )
 
@@ -37,13 +45,13 @@ def test_render_relpos_example():
         target_of("relpos_y", "thumb_tip", "index_tip"),
         Category("relpos_y", "above"),
     )
-    assert stmt.text == (
+    assert stmt == (
         "The tip joint of the thumb is above the tip joint of the index finger."
     )
 
 
 def test_render_aligned_refused():
-    with pytest.raises(AlignedNotRenderable):
+    with pytest.raises(AlignedTruth):
         render_statement(
             target_of("relpos_x", "index_pip", "middle_pip"),
             Category("relpos_x", ALIGNED),
@@ -63,7 +71,7 @@ def test_statements_injective_and_decodable():
     for kind, labels in OPTION_LABELS_BY_KIND.items():
         for target in catalog(kind):
             for label in labels:
-                text = render_statement(target, Category(kind, label)).text
+                text = render_statement(target, Category(kind, label))
                 assert text not in seen
                 seen.add(text)
                 decoded = decode_statement(target, text)
@@ -85,7 +93,7 @@ def test_option_counts_by_kind():
         (target_of("relpos_z", "middle_tip", "ring_tip"), Category("relpos_z", "in front of"), 2),
     ]
     for target, truth, expected_count in cases:
-        opts = build_options(target, truth, random.Random(3))
+        opts = draw_options(target, truth, random.Random(3))
         assert len(opts.options) == expected_count
         assert len(set(opts.options)) == expected_count
         assert 0 <= opts.correct_index < expected_count
@@ -98,13 +106,13 @@ def test_option_round_trip_every_target_and_label():
         for target in catalog(kind):
             for label in labels:
                 truth = Category(kind, label)
-                opts = build_options(target, truth, rng)
+                opts = draw_options(target, truth, rng)
                 assert decode_statement(target, opts.options[opts.correct_index]) == truth
 
 
 def test_aligned_ground_truth_rejected():
-    with pytest.raises(AlignedGroundTruth):
-        build_options(
+    with pytest.raises(AlignedTruth):
+        draw_options(
             target_of("relpos_x", "index_pip", "middle_pip"),
             Category("relpos_x", ALIGNED),
             random.Random(1),
@@ -114,10 +122,10 @@ def test_aligned_ground_truth_rejected():
 def test_option_shuffle_determinism():
     target = target_of("distance", "ring_tip", "little_tip")
     truth = Category("distance", "spread from")
-    a = build_options(target, truth, random.Random(7))
-    b = build_options(target, truth, random.Random(7))
+    a = draw_options(target, truth, random.Random(7))
+    b = draw_options(target, truth, random.Random(7))
     assert a == b
-    c = build_options(target, truth, random.Random(8))
+    c = draw_options(target, truth, random.Random(8))
     assert sorted(c.options) == sorted(a.options)
     assert decode_statement(target, c.options[c.correct_index]) == truth
 
@@ -125,8 +133,8 @@ def test_option_shuffle_determinism():
 def test_permutation_records_display_order():
     target = target_of("angle", "thumb_ip")
     truth = Category("angle", "straight")
-    opts = build_options(target, truth, random.Random(11))
+    opts = draw_options(target, truth, random.Random(11))
     labels = OPTION_LABELS_BY_KIND["angle"]
     for pos, label_index in enumerate(opts.permutation):
-        expected = render_statement(target, Category("angle", labels[label_index])).text
+        expected = render_statement(target, Category("angle", labels[label_index]))
         assert opts.options[pos] == expected
