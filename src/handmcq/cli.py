@@ -62,14 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples-per-type", type=int, default=5)
     p.add_argument("--config", help="JSON config file; its values override flags")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                    help="parallel workers (output bytes are identical for any value)")
 
     p = sub.add_parser("validate", help="replay every question against the manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--config", help="JSON threshold config to validate against "
-                                    "(defaults to the dataset header's)")
+    p.add_argument("--config", help="JSON generation or threshold config whose thresholds "
+                                    "to validate against (defaults to the dataset header's)")
 
     p = sub.add_parser("score", help="score a prediction file against a gold dataset")
     p.add_argument("--gold", required=True)
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="uniform random-guess metrics on a gold dataset")
     p.add_argument("--gold", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--report")
 
     p = sub.add_parser("stats", help="ground-truth label frequencies of a dataset")
@@ -121,7 +121,10 @@ def _cmd_validate(args) -> int:
     thresholds = None
     if args.config:
         loaded = _load_config_object(args.config)
-        thresholds = ThresholdConfig.from_dict(loaded.get("thresholds", loaded))
+        if "thresholds" in loaded:
+            thresholds = GenerationConfig.from_dict(loaded).thresholds
+        else:
+            thresholds = ThresholdConfig.from_dict(loaded)
     report = validate_dataset(args.manifest, args.dataset, thresholds=thresholds)
     print(f"questions: {report.total}  mismatches: {len(report.mismatches)}  "
           f"skipped: {len(report.skipped)}")

@@ -1,14 +1,15 @@
 """Manifest ingestion, per-image target sampling, MCQ assembly, and
 dataset serialization.
 
-File formats (all JSONL, one record per line):
+File formats (all JSONL, one JSON object per line, read by `read_jsonl`;
+blank lines are skipped and errors name their line):
 
 Manifest record:
     {"image_id": str, "image_path": str?, "joints": [[x,y,z] * 21],
      "mesh_vertices": [[x,y,z] * M]?, "axis_flips": [sx,sy,sz]?}
 
-Dataset: a header line {"__header__": {...generation config, tool version}}
-followed by one MCQ per line:
+Dataset: first a header record {"__header__": {...generation config, tool
+version}}, then one MCQ per line:
     {"question_id": str, "image_id": str, "kind": str,
      "target": {"subject": int, "object": int|null}, "prompt": str,
      "options": [str], "correct_index": int, "provenance": {...}}
@@ -217,13 +218,25 @@ class GenerationSummary:
         }
 
 
-def _parse_manifest_line(line_no: int, line: str) -> PoseRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(line_no, f"invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ParseError(line_no, "record must be a JSON object")
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file, the
+    one reader of every input file. Raises ParseError naming the line for
+    invalid JSON or a value that is not a JSON object."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as e:
+                raise ParseError(line_no, f"invalid JSON: {e}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(line_no, "record must be a JSON object")
+            yield line_no, obj
+
+
+def _parse_manifest_line(line_no: int, obj: dict) -> PoseRecord:
     image_id = obj.get("image_id")
     if not isinstance(image_id, str) or not image_id:
         raise ParseError(line_no, "missing or empty image_id")
@@ -239,7 +252,7 @@ def _parse_manifest_line(line_no: int, line: str) -> PoseRecord:
     try:
         raw = RawPose(joints=np.asarray(joints, dtype=np.float64),
                       mesh_vertices=None if mesh is None else np.asarray(mesh, dtype=np.float64))
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(line_no, str(e)) from None
     return PoseRecord(
         image_id=image_id,
@@ -256,16 +269,12 @@ def load_manifest(path) -> Iterator[PoseRecord]:
     records share an id. Blank lines are ignored.
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_manifest_line(line_no, line)
-            if record.image_id in seen:
-                raise DuplicateImageId(f"image_id {record.image_id!r} (line {line_no})")
-            seen.add(record.image_id)
-            yield record
+    for line_no, obj in read_jsonl(path):
+        record = _parse_manifest_line(line_no, obj)
+        if record.image_id in seen:
+            raise DuplicateImageId(f"image_id {record.image_id!r} (line {line_no})")
+        seen.add(record.image_id)
+        yield record
 
 
 def normalized_pose_for(record: PoseRecord, cfg: GenerationConfig) -> NormalizedPose:
@@ -526,7 +535,6 @@ def generate_dataset(
         raise OSError(f"{out_path}: output is not a regular file")
     summary = GenerationSummary(mcqs_by_kind={k: 0 for k in KINDS})
     skip_counts: Counter = Counter()
-    jobs = max(1, int(jobs))
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as out:
@@ -560,40 +568,39 @@ def generate_dataset(
     return summary
 
 
-def read_header(path) -> dict | None:
-    """The dataset's header payload, or None when the first line is not one."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first:
-        return None
-    try:
-        obj = json.loads(first)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and "__header__" in obj:
-        if not isinstance(obj["__header__"], dict):
-            raise ParseError(1, "__header__ must be a JSON object")
-        return obj["__header__"]
-    return None
+def _read_header(records: Iterator[tuple[int, dict]]) -> dict:
+    """Take the first of a dataset's `read_jsonl` records and return its
+    header payload."""
+    first = next(records, None)
+    if first is None:
+        raise ParseError(1, "empty dataset: no __header__ record")
+    line_no, obj = first
+    if "__header__" not in obj:
+        raise ParseError(line_no, "a dataset must start with its __header__ record")
+    if not isinstance(obj["__header__"], dict):
+        raise ParseError(line_no, "__header__ must be a JSON object")
+    return obj["__header__"]
+
+
+def read_header(path) -> dict:
+    """The payload of the dataset's header. Raises ParseError when the
+    first record is not a header."""
+    return _read_header(read_jsonl(path))
 
 
 def iter_dataset(path) -> Iterator[Mcq]:
-    """Stream MCQs from a dataset file, skipping the header line."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"invalid JSON: {e}") from None
-            if isinstance(obj, dict) and "__header__" in obj:
-                continue
-            try:
-                yield Mcq.from_dict(obj)
-            except (KeyError, ValueError, TypeError) as e:
-                raise ParseError(line_no, f"bad MCQ record: {e}") from None
+    """Stream MCQs from a dataset file: every record after the header.
+    Raises ParseError when the first record is not a header or a later one
+    is."""
+    records = read_jsonl(path)
+    _read_header(records)
+    for line_no, obj in records:
+        if "__header__" in obj:
+            raise ParseError(line_no, "__header__ record after the first record")
+        try:
+            yield Mcq.from_dict(obj)
+        except (KeyError, ValueError, TypeError) as e:
+            raise ParseError(line_no, f"bad MCQ record: {e}") from None
 
 
 def gold_category(mcq: Mcq) -> Category:

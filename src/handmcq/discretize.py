@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import OutOfRange
@@ -129,64 +130,44 @@ class ThresholdConfig:
 
 DEFAULT_THRESHOLDS = ThresholdConfig()
 
-# Interned instances: categorization is the hottest call in generation.
-_CATEGORIES: dict[tuple[str, str], Category] = {
-    (kind, label): Category(kind, label)
+# kind -> interned categories in value order: categorization is the
+# hottest call in generation.
+_CATEGORIES: dict[str, tuple[Category, ...]] = {
+    kind: tuple(Category(kind, label) for label in labels)
     for kind, labels in LABELS_BY_KIND.items()
-    for label in labels
 }
+
+
+def categorize(kind: str, value: float, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
+    """Bin a descriptor value: cuts split the kind's labels, lower bound
+    inclusive, and the relative-position cuts are (-band, band). Raises
+    OutOfRange for an angle outside [0, 180] or a negative distance, and
+    KeyError for an unknown kind."""
+    if kind == "angle":
+        if not 0.0 <= value <= 180.0:
+            raise OutOfRange(f"angle {value} outside [0, 180]")
+        cuts = cfg.angle_cuts
+    elif kind == "distance":
+        if value < 0.0:
+            raise OutOfRange(f"distance {value} is negative")
+        cuts = cfg.distance_cuts
+    elif kind in RELPOS_LABELS:
+        cuts = (-cfg.relpos_band, cfg.relpos_band)
+    else:
+        raise KeyError(f"unknown descriptor kind {kind!r}")
+    return _CATEGORIES[kind][bisect_right(cuts, value)]
 
 
 def categorize_angle(theta: float, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
     """Bin a bending angle in degrees. Raises OutOfRange outside [0, 180]."""
-    if not 0.0 <= theta <= 180.0:
-        raise OutOfRange(f"angle {theta} outside [0, 180]")
-    c1, c2, c3 = cfg.angle_cuts
-    if theta < c1:
-        label = ANGLE_LABELS[0]
-    elif theta < c2:
-        label = ANGLE_LABELS[1]
-    elif theta < c3:
-        label = ANGLE_LABELS[2]
-    else:
-        label = ANGLE_LABELS[3]
-    return _CATEGORIES[("angle", label)]
+    return categorize("angle", theta, cfg)
 
 
 def categorize_distance(d: float, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
     """Bin an inter-joint distance. Raises OutOfRange for negative values."""
-    if d < 0.0:
-        raise OutOfRange(f"distance {d} is negative")
-    c1, c2 = cfg.distance_cuts
-    if d < c1:
-        label = DISTANCE_LABELS[0]
-    elif d < c2:
-        label = DISTANCE_LABELS[1]
-    else:
-        label = DISTANCE_LABELS[2]
-    return _CATEGORIES[("distance", label)]
+    return categorize("distance", d, cfg)
 
 
 def categorize_offset(delta: float, axis: str, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
     """Bin a signed axis offset into negative side / aligned / positive side."""
-    kind = f"relpos_{axis}"
-    labels = RELPOS_LABELS[kind]
-    band = cfg.relpos_band
-    if delta < -band:
-        label = labels[0]
-    elif delta < band:
-        label = labels[1]
-    else:
-        label = labels[2]
-    return _CATEGORIES[(kind, label)]
-
-
-def categorize(kind: str, value: float, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
-    """Dispatch to the kind-specific categorizer."""
-    if kind == "angle":
-        return categorize_angle(value, cfg)
-    if kind == "distance":
-        return categorize_distance(value, cfg)
-    if kind in RELPOS_LABELS:
-        return categorize_offset(value, kind[-1], cfg)
-    raise KeyError(f"unknown descriptor kind {kind!r}")
+    return categorize(f"relpos_{axis}", delta, cfg)

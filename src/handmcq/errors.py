@@ -51,6 +51,14 @@ class DuplicateQuestionId(HandMcqError):
 class NoMatchingOption(HandMcqError):
     """The true category's statement is missing from an option set."""
 
+    def __init__(self, question_id: str, category):
+        super().__init__(question_id, category)
+        self.question_id = question_id
+        self.category = category
+
+    def __str__(self) -> str:
+        return f"{self.question_id}: no option states {self.category.label!r}"
+
 
 class MissingPose(HandMcqError):
     """A dataset question references an image_id absent from the manifest."""

@@ -11,14 +11,13 @@ and are tallied separately.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .dataset import Mcq, _stable_u64, gold_category, iter_dataset
+from .dataset import Mcq, _stable_u64, gold_category, iter_dataset, read_jsonl
 from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category
 from .errors import (
     DuplicatePrediction,
@@ -70,46 +69,38 @@ def load_predictions(path) -> Iterator[PredictionRecord]:
     [0, 1], or a list of finite, non-negative option_confidences with a
     positive sum.
     """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"invalid JSON: {e}") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("question_id"), str):
-                raise ParseError(line_no, "missing or non-string question_id")
-            raw_answer = obj.get("raw_answer", "")
-            if not isinstance(raw_answer, str):
-                raise ParseError(line_no, "raw_answer must be a string")
-            confidence = obj.get("confidence")
-            if confidence is not None:
-                confidence = _parse_float(line_no, "confidence", confidence)
-                if not 0.0 <= confidence <= 1.0:
-                    raise ParseError(line_no, f"confidence {confidence} outside [0, 1]")
-            per_option = obj.get("option_confidences")
-            if per_option is not None:
-                if not isinstance(per_option, list):
-                    raise ParseError(line_no, "option_confidences must be a list")
-                per_option = tuple(_parse_float(line_no, "option_confidences", c)
-                                   for c in per_option)
-                if not all(math.isfinite(c) and c >= 0 for c in per_option) or sum(per_option) <= 0:
-                    raise ParseError(line_no, "option_confidences must be finite and "
-                                              "non-negative with positive sum")
-            yield PredictionRecord(
-                question_id=obj["question_id"],
-                raw_answer=raw_answer,
-                confidence=confidence,
-                option_confidences=per_option,
-            )
+    for line_no, obj in read_jsonl(path):
+        if not isinstance(obj.get("question_id"), str):
+            raise ParseError(line_no, "missing or non-string question_id")
+        raw_answer = obj.get("raw_answer", "")
+        if not isinstance(raw_answer, str):
+            raise ParseError(line_no, "raw_answer must be a string")
+        confidence = obj.get("confidence")
+        if confidence is not None:
+            confidence = _parse_float(line_no, "confidence", confidence)
+            if not 0.0 <= confidence <= 1.0:
+                raise ParseError(line_no, f"confidence {confidence} outside [0, 1]")
+        per_option = obj.get("option_confidences")
+        if per_option is not None:
+            if not isinstance(per_option, list):
+                raise ParseError(line_no, "option_confidences must be a list")
+            per_option = tuple(_parse_float(line_no, "option_confidences", c)
+                               for c in per_option)
+            if not all(math.isfinite(c) and c >= 0 for c in per_option) or sum(per_option) <= 0:
+                raise ParseError(line_no, "option_confidences must be finite and "
+                                          "non-negative with positive sum")
+        yield PredictionRecord(
+            question_id=obj["question_id"],
+            raw_answer=raw_answer,
+            confidence=confidence,
+            option_confidences=per_option,
+        )
 
 
 def _parse_float(line_no: int, name: str, value) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(line_no, f"{name} value {value!r} is not a number") from None
 
 

@@ -53,7 +53,7 @@ def answer_mcq(
     for i, option in enumerate(mcq.options):
         if option == truth_text:
             return i
-    raise NoMatchingOption(f"{mcq.question_id}: no option states {category.label!r}")
+    raise NoMatchingOption(mcq.question_id, category)
 
 
 def enumerate_all_mcqs(
@@ -111,7 +111,7 @@ def validate_dataset(
     question whose stored answer disagrees with the oracle becomes a
     mismatch entry; aligned or degenerate recomputations land in skipped.
     """
-    header = read_header(dataset_path) or {}
+    header = read_header(dataset_path)
     try:
         cfg = GenerationConfig.from_dict(header.get("config", {}))
     except ValueError as e:
@@ -139,8 +139,6 @@ def validate_dataset(
             report.skipped.append({"question_id": mcq.question_id,
                                    "reason": "degenerate_pose", "detail": cached_err})
             continue
-        expected = decode_statement(mcq.target, mcq.options[mcq.correct_index])
-        expected_label = expected.label if expected else None
         try:
             oracle_index = answer_mcq(cached_pose, mcq, thresholds)
         except AlignedTruth:
@@ -150,21 +148,16 @@ def validate_dataset(
             report.skipped.append({"question_id": mcq.question_id,
                                    "reason": "degenerate_bone", "detail": str(e)})
             continue
-        except NoMatchingOption:
-            oracle_label = categorize(
-                mcq.kind, descriptor_value(cached_pose, mcq.target), thresholds
-            ).label
-            report.mismatches.append({
-                "question_id": mcq.question_id,
-                "expected_category": expected_label,
-                "oracle_category": oracle_label,
-            })
-            continue
-        if oracle_index != mcq.correct_index:
+        except NoMatchingOption as e:
+            oracle = e.category
+        else:
+            if oracle_index == mcq.correct_index:
+                continue
             oracle = decode_statement(mcq.target, mcq.options[oracle_index])
-            report.mismatches.append({
-                "question_id": mcq.question_id,
-                "expected_category": expected_label,
-                "oracle_category": oracle.label if oracle else None,
-            })
+        expected = decode_statement(mcq.target, mcq.options[mcq.correct_index])
+        report.mismatches.append({
+            "question_id": mcq.question_id,
+            "expected_category": expected.label if expected else None,
+            "oracle_category": oracle.label,
+        })
     return report

@@ -30,10 +30,11 @@ _DECODE: dict[DescriptorTarget, dict[str, Category]] = {}
 for _kind in KINDS:
     for _target in catalog(_kind):
         back = {}
-        for _label in OPTION_LABELS_BY_KIND[_kind]:
-            text = _render_text(_target, _label)
-            _STATEMENT_TEXT[(_target, _label)] = text
-            back[text] = _CATEGORIES[(_kind, _label)]
+        for _category in _CATEGORIES[_kind]:
+            if not _category.is_aligned:
+                text = _render_text(_target, _category.label)
+                _STATEMENT_TEXT[(_target, _category.label)] = text
+                back[text] = _category
         _DECODE[_target] = back
 
 

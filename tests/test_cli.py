@@ -259,9 +259,12 @@ def test_score_rejects_confidences_without_mass_on_the_options(tmp_path, gold, c
     ("validate", [1, 2], "JSON object"),
     ("validate", {"thresholds": 5}, "thresholds"),
     ("validate", {"relpos_band": "wide"}, "relpos_band"),
+    ("validate", {"thresholds": {"relpos_band": 0.2}, "typo": 1}, "'typo'"),
+    ("validate", {"thresholds": {"relpos_band": 0.2}, "seed": "x"}, "seed"),
 ], ids=["typo_key", "string_bool", "top_level_list", "null_samples", "int_thresholds",
         "int_axis_flips", "bool_seed", "string_cuts", "typo_threshold_key", "nan_band", "inf_cut",
-        "validate_top_level_list", "validate_int_thresholds", "validate_string_band"])
+        "validate_top_level_list", "validate_int_thresholds", "validate_string_band",
+        "validate_typo_key_beside_thresholds", "validate_string_seed_beside_thresholds"])
 def test_bad_config_exits_3(tmp_path, manifest, capsys, command, config, named):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(config))
@@ -356,3 +359,50 @@ def test_stats_count_the_correct_option_not_the_provenance(tmp_path, manifest, c
     dataset.write_text("\n".join(lines) + "\n")
     assert run("stats", "--dataset", dataset, "--json") == 0
     assert json.loads(capsys.readouterr().out) == expected
+
+
+def _read_side_argv(command, manifest, dataset, pred):
+    return {"validate": ("validate", "--manifest", manifest, "--dataset", dataset),
+            "score": ("score", "--gold", dataset, "--pred", pred),
+            "baseline": ("baseline", "--gold", dataset),
+            "stats": ("stats", "--dataset", dataset)}[command]
+
+
+@pytest.mark.parametrize("command", ["validate", "score", "baseline", "stats"])
+def test_headerless_dataset_exits_3(tmp_path, manifest, gold, capsys, command):
+    mcqs, dataset = gold
+    dataset.write_text("\n".join(dataset.read_text().splitlines()[1:]) + "\n")
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": mcqs[0].question_id, "raw_answer": "(a)"}) + "\n")
+    capsys.readouterr()
+    assert run(*_read_side_argv(command, manifest, dataset, pred)) == 3
+    assert "line 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "score", "baseline", "stats"])
+def test_misplaced_dataset_header_exits_3(tmp_path, manifest, gold, capsys, command):
+    mcqs, dataset = gold
+    lines = dataset.read_text().splitlines()
+    # Blank lines before the header are allowed; a second header is not.
+    dataset.write_text("\n".join(["", *lines[:3], lines[0], *lines[3:]]) + "\n")
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": mcqs[0].question_id, "raw_answer": "(a)"}) + "\n")
+    capsys.readouterr()
+    assert run(*_read_side_argv(command, manifest, dataset, pred)) == 3
+    assert "line 5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--jobs", "0"),
+    ("generate", "--jobs", "-4"),
+    ("baseline", "--trials", "0"),
+], ids=["jobs_0", "jobs_negative", "trials_0"])
+def test_jobs_and_trials_must_be_positive(tmp_path, manifest, argv):
+    command, *flag = argv
+    out = tmp_path / "d.jsonl"
+    paths = (("--manifest", manifest, "--out", out) if command == "generate"
+             else ("--gold", out))
+    with pytest.raises(SystemExit) as exc:
+        run(command, *paths, *flag)
+    assert exc.value.code == 2
+    assert not out.exists()

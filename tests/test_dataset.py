@@ -30,6 +30,7 @@ from handmcq.dataset import (
 )
 from handmcq.discretize import ThresholdConfig, categorize
 from handmcq.errors import DuplicateImageId, ParseError
+from handmcq.evaluate import load_predictions
 from handmcq.geometry import RawPose, descriptor_value
 from handmcq.skeleton import JOINT_PAIRS, KINDS, catalog, catalog_all
 from handmcq.textgen import decode_statement
@@ -76,6 +77,17 @@ def test_load_manifest_rejects_bad_json_and_nonfinite(tmp_path):
     path.write_text(json.dumps({"image_id": "a", "joints": joints}) + "\n")
     with pytest.raises(ParseError):
         list(load_manifest(path))
+
+
+@pytest.mark.parametrize("loader", [load_manifest, iter_dataset, load_predictions])
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"text"', "null"],
+                         ids=["list", "number", "string", "null"])
+def test_loaders_reject_a_line_that_is_not_an_object_alike(tmp_path, loader, line):
+    path = tmp_path / "f.jsonl"
+    path.write_text(f"\n  \n{line}\n")
+    with pytest.raises(ParseError) as exc:
+        list(loader(path))
+    assert (exc.value.line_no, exc.value.reason) == (3, "record must be a JSON object")
 
 
 def test_load_manifest_rejects_bad_axis_flips_and_mesh(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from conftest import aligned_free_joints, random_joints, synthetic_manifest
 from handmcq.dataset import (
     GenerationConfig,
+    Mcq,
     PoseRecord,
     generate_dataset,
     generate_image_mcqs,
@@ -21,6 +22,7 @@ from handmcq.errors import AlignedTruth, MissingPose, NoMatchingOption
 from handmcq.geometry import RawPose
 from handmcq.oracle import answer_mcq, enumerate_all_mcqs, validate_dataset
 from handmcq.skeleton import ANGLE_JOINTS, JOINT_PAIRS, KINDS, angle_triplet
+from handmcq.textgen import decode_statement
 
 
 def make_record(joints, image_id="img0"):
@@ -66,8 +68,10 @@ def test_answer_missing_option():
         ),
         correct_index=0,
     )
-    with pytest.raises(NoMatchingOption):
+    with pytest.raises(NoMatchingOption) as exc:
         answer_mcq(pose, truncated, cfg.thresholds)
+    assert exc.value.category == decode_statement(mcq.target, mcq.options[mcq.correct_index])
+    assert str(exc.value) == f"{mcq.question_id}: no option states {exc.value.category.label!r}"
 
 
 def test_answer_aligned_truth():
@@ -168,6 +172,29 @@ def test_validate_detects_flipped_answer(generated, tmp_path):
     report = validate_dataset(manifest, tampered)
     assert len(report.mismatches) == 1
     assert report.mismatches[0]["question_id"] == record["question_id"]
+
+
+def test_validate_reports_stored_and_oracle_labels(generated, tmp_path):
+    # One question whose stored answer points at a wrong option, one whose
+    # true option is gone (the oracle finds no option to answer with).
+    manifest, dataset = generated
+    lines = dataset.read_text().splitlines()
+    flipped, dropped = json.loads(lines[7]), json.loads(lines[12])
+    flipped["correct_index"] = (flipped["correct_index"] + 1) % len(flipped["options"])
+    del dropped["options"][dropped["correct_index"]]
+    dropped["correct_index"] = 0
+    lines[7], lines[12] = json.dumps(flipped), json.dumps(dropped)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+
+    def entry(record):
+        mcq = Mcq.from_dict(record)
+        stored = decode_statement(mcq.target, mcq.options[mcq.correct_index])
+        return {"question_id": mcq.question_id, "expected_category": stored.label,
+                "oracle_category": record["provenance"]["category"]}
+
+    report = validate_dataset(manifest, tampered)
+    assert report.mismatches == [entry(flipped), entry(dropped)]
 
 
 def test_validate_missing_pose(generated, tmp_path):
