@@ -23,9 +23,7 @@ from .dataset import (
 from .discretize import (
     Category,
     ThresholdConfig,
-    categorize_angle,
-    categorize_distance,
-    categorize_offset,
+    categorize,
 )
 from .evaluate import (
     MetricsReport,
@@ -34,7 +32,6 @@ from .evaluate import (
     ordinal_index,
     parse_answer,
     random_baseline,
-    reliability,
     score,
 )
 from .geometry import (
@@ -67,16 +64,13 @@ __all__ = [
     "load_manifest",
     "Category",
     "ThresholdConfig",
-    "categorize_angle",
-    "categorize_distance",
-    "categorize_offset",
+    "categorize",
     "MetricsReport",
     "PredictionRecord",
     "load_predictions",
     "ordinal_index",
     "parse_answer",
     "random_baseline",
-    "reliability",
     "score",
     "NormalizedPose",
     "RawPose",

@@ -30,12 +30,14 @@ bytes are independent of the parallelism degree.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -112,8 +114,8 @@ class GenerationConfig:
         if not 1 <= self.per_type_samples <= max_pool:
             raise ValueError(f"per_type_samples must be in [1, {max_pool}]")
         object.__setattr__(self, "axis_flips", tuple(int(s) for s in self.axis_flips))
-        if any(s not in (-1, 1) for s in self.axis_flips):
-            raise ValueError("axis_flips entries must be -1 or 1")
+        if len(self.axis_flips) != 3 or any(s not in (-1, 1) for s in self.axis_flips):
+            raise ValueError("axis_flips must be three entries, each -1 or 1")
 
     def to_dict(self) -> dict:
         return {
@@ -165,18 +167,23 @@ class Mcq:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mcq":
+        """Raises KeyError, TypeError or ValueError for a record with a
+        missing or mistyped field, or whose correct option is not a
+        rendered statement of its target (see `gold_category`)."""
         target = target_from_fields(
             d["kind"], d["target"]["subject"], d["target"].get("object")
         )
         question_id, image_id, options = d["question_id"], d["image_id"], d["options"]
         if not isinstance(question_id, str) or not isinstance(image_id, str):
             raise ValueError("question_id and image_id must be strings")
+        if not isinstance(d["prompt"], str):
+            raise ValueError("prompt must be a string")
         if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
             raise ValueError("options must be a list of strings")
         correct_index = d["correct_index"]
         if not _is_int(correct_index) or not 0 <= correct_index < len(options):
             raise ValueError(f"correct_index {correct_index!r} out of range")
-        return cls(
+        mcq = cls(
             question_id=question_id,
             image_id=image_id,
             kind=target.kind,
@@ -186,6 +193,8 @@ class Mcq:
             correct_index=correct_index,
             provenance=d.get("provenance", {}),
         )
+        gold_category(mcq)
+        return mcq
 
 
 @dataclass(frozen=True)
@@ -218,15 +227,24 @@ class GenerationSummary:
         }
 
 
+# What "surrogateescape" decodes a byte that is not UTF-8 to.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file, the
     one reader of every input file. Raises ParseError naming the line for
-    invalid JSON or a value that is not a JSON object."""
-    with open(path, encoding="utf-8") as fh:
+    bytes that are not UTF-8, invalid JSON, or a value that is not a JSON
+    object."""
+    # Bytes that are not UTF-8 are decoded to lone surrogates and caught
+    # per line; `isascii` is O(1), so ASCII lines cost nothing extra.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+                raise ParseError(line_no, f"not UTF-8: byte {ord(bad[0]) - 0xDC00:#04x}")
             try:
                 obj = json.loads(line)
             except ValueError as e:
@@ -243,23 +261,24 @@ def _parse_manifest_line(line_no: int, obj: dict) -> PoseRecord:
     joints = obj.get("joints")
     if not isinstance(joints, list) or len(joints) != 21:
         raise ParseError(line_no, f"expected 21 joints, got {len(joints) if isinstance(joints, list) else type(joints).__name__}")
+    image_path = obj.get("image_path")
+    if image_path is not None and not isinstance(image_path, str):
+        raise ParseError(line_no, "image_path must be a string")
     mesh = obj.get("mesh_vertices")
     flips = obj.get("axis_flips")
     if flips is not None:
-        if not (isinstance(flips, list) and len(flips) == 3 and all(s in (-1, 1) for s in flips)):
-            raise ParseError(line_no, "axis_flips must be three values from {-1, 1}")
+        if not (isinstance(flips, list) and len(flips) == 3 and all(_is_int(s) and s in (-1, 1) for s in flips)):
+            raise ParseError(line_no, "axis_flips must be three integers from {-1, 1}")
         flips = tuple(flips)
     try:
         raw = RawPose(joints=np.asarray(joints, dtype=np.float64),
                       mesh_vertices=None if mesh is None else np.asarray(mesh, dtype=np.float64))
     except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(line_no, str(e)) from None
-    return PoseRecord(
-        image_id=image_id,
-        raw_pose=raw,
-        image_path=obj.get("image_path"),
-        axis_flips=flips,
-    )
+    # numpy reads true as 1.0 and "1" as 1.0: only JSON numbers may pass.
+    if not {type(c) for joint in joints for c in joint} <= {int, float}:
+        raise ParseError(line_no, "joint coordinates must be numbers")
+    return PoseRecord(image_id=image_id, raw_pose=raw, image_path=image_path, axis_flips=flips)
 
 
 def load_manifest(path) -> Iterator[PoseRecord]:
@@ -327,6 +346,7 @@ def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> _Renderin
 
 # (target, permutation) -> rendering, filled on first use. At most 636
 # entries: 15 angle targets x 4! orders + 23 distance x 3! + 69 relpos x 2!.
+# Threads may race to fill an entry; both render the same value.
 _RENDERINGS: dict[tuple[DescriptorTarget, tuple[int, ...]], _Rendering] = {}
 
 # label -> its JSON string, for every option label of every kind
@@ -478,23 +498,11 @@ def _dump_line(
             f'{norm_json}{rendering.permutation_json}{run_json}{qid}{rendering.tail}\n')
 
 
-# Generation config of this process, and its run-wide JSON fragment
-# ',"seed":...,"threshold_config_id":...},"question_id":"'.
-_WORKER_CFG: GenerationConfig | None = None
-_WORKER_RUN_JSON = ""
-
-
-def _init_worker(cfg: GenerationConfig) -> None:
-    global _WORKER_CFG, _WORKER_RUN_JSON
-    _WORKER_CFG = cfg
-    _WORKER_RUN_JSON = (f',"seed":{_canonical_json(cfg.seed)},"threshold_config_id":'
-                        f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
-
-
-def _generate_lines(record: PoseRecord) -> tuple[str, list[str], list[str]]:
+def _generate_lines(cfg: GenerationConfig, run_json: str,
+                    record: PoseRecord) -> tuple[str, list[str], list[str]]:
     """Worker body: the image's output lines, joined, plus the kinds
-    emitted and the skip reasons."""
-    cfg = _WORKER_CFG
+    emitted and the skip reasons. `run_json` is the run-wide fragment
+    ',"seed":...,"threshold_config_id":...},"question_id":"'."""
     image_id = record.image_id
     norm_mode, picks, skips = _sample_targets(record, cfg)
     image_json = _canonical_json(image_id)
@@ -504,7 +512,7 @@ def _generate_lines(record: PoseRecord) -> tuple[str, list[str], list[str]]:
         rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
         lines.append(_dump_line(rendering, correct_index, category, value,
                                 question_id(image_id, target), image_json, norm_json,
-                                _WORKER_RUN_JSON))
+                                run_json))
     return "".join(lines), [target.kind for target, _, _ in picks], [s.reason for s in skips]
 
 
@@ -535,30 +543,22 @@ def generate_dataset(
         raise OSError(f"{out_path}: output is not a regular file")
     summary = GenerationSummary(mcqs_by_kind={k: 0 for k in KINDS})
     skip_counts: Counter = Counter()
+    run_json = (f',"seed":{_canonical_json(cfg.seed)},"threshold_config_id":'
+                f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
+    work = functools.partial(_generate_lines, cfg, run_json)
+    records = load_manifest(manifest_path)
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
-        with open(tmp_path, "w", encoding="utf-8", newline="\n") as out:
+        with open(tmp_path, "w", encoding="utf-8", newline="\n") as out, \
+                (contextlib.nullcontext() if jobs == 1 else multiprocessing.Pool(jobs)) as pool:
             out.write(_canonical_json(dataset_header(cfg)) + "\n")
-
-            def consume(result):
-                text, kinds, skip_reasons = result
+            results = map(work, records) if pool is None else pool.imap(work, records, chunksize=16)
+            for text, kinds, skip_reasons in results:
                 out.write(text)
                 for kind in kinds:
                     summary.mcqs_by_kind[kind] += 1
                 skip_counts.update(skip_reasons)
                 summary.images += 1
-
-            if jobs == 1:
-                _init_worker(cfg)
-                for record in load_manifest(manifest_path):
-                    consume(_generate_lines(record))
-            else:
-                with multiprocessing.Pool(jobs, initializer=_init_worker,
-                                          initargs=(cfg,)) as pool:
-                    for result in pool.imap(
-                        _generate_lines, load_manifest(manifest_path), chunksize=16
-                    ):
-                        consume(result)
         os.replace(tmp_path, out_path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -570,28 +570,34 @@ def generate_dataset(
 
 def _read_header(records: Iterator[tuple[int, dict]]) -> dict:
     """Take the first of a dataset's `read_jsonl` records and return its
-    header payload."""
+    header payload, whose `config`, when present, must be a valid
+    generation config."""
     first = next(records, None)
     if first is None:
         raise ParseError(1, "empty dataset: no __header__ record")
     line_no, obj = first
     if "__header__" not in obj:
         raise ParseError(line_no, "a dataset must start with its __header__ record")
-    if not isinstance(obj["__header__"], dict):
+    header = obj["__header__"]
+    if not isinstance(header, dict):
         raise ParseError(line_no, "__header__ must be a JSON object")
-    return obj["__header__"]
+    try:
+        GenerationConfig.from_dict(header.get("config", {}))
+    except ValueError as e:
+        raise ParseError(line_no, f"dataset header: {e}") from None
+    return header
 
 
 def read_header(path) -> dict:
     """The payload of the dataset's header. Raises ParseError when the
-    first record is not a header."""
+    first record is not a header or its config is malformed."""
     return _read_header(read_jsonl(path))
 
 
 def iter_dataset(path) -> Iterator[Mcq]:
     """Stream MCQs from a dataset file: every record after the header.
-    Raises ParseError when the first record is not a header or a later one
-    is."""
+    Raises ParseError when the first record is not a valid header or a
+    later one is a header."""
     records = read_jsonl(path)
     _read_header(records)
     for line_no, obj in records:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -49,7 +50,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A float, or an int (not a bool) that `float` can convert."""
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _is_numbers(v) -> bool:
@@ -156,18 +158,3 @@ def categorize(kind: str, value: float, cfg: ThresholdConfig = DEFAULT_THRESHOLD
     else:
         raise KeyError(f"unknown descriptor kind {kind!r}")
     return _CATEGORIES[kind][bisect_right(cuts, value)]
-
-
-def categorize_angle(theta: float, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
-    """Bin a bending angle in degrees. Raises OutOfRange outside [0, 180]."""
-    return categorize("angle", theta, cfg)
-
-
-def categorize_distance(d: float, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
-    """Bin an inter-joint distance. Raises OutOfRange for negative values."""
-    return categorize("distance", d, cfg)
-
-
-def categorize_offset(delta: float, axis: str, cfg: ThresholdConfig = DEFAULT_THRESHOLDS) -> Category:
-    """Bin a signed axis offset into negative side / aligned / positive side."""
-    return categorize(f"relpos_{axis}", delta, cfg)

@@ -17,8 +17,15 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .dataset import Mcq, _stable_u64, gold_category, iter_dataset, read_jsonl
-from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category
+from .dataset import (
+    OPTION_LETTERS,
+    Mcq,
+    _stable_u64,
+    gold_category,
+    iter_dataset,
+    read_jsonl,
+)
+from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category, _is_number
 from .errors import (
     DuplicatePrediction,
     DuplicateQuestionId,
@@ -98,16 +105,18 @@ def load_predictions(path) -> Iterator[PredictionRecord]:
 
 
 def _parse_float(line_no: int, name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(line_no, f"{name} value {value!r} is not a number") from None
+    if not _is_number(value):
+        raise ParseError(line_no, f"{name} value {value!r} is not a number")
+    return float(value)
 
 
+# option letter, either case -> option index
+_LETTER_INDEX = {c: i for i, letter in enumerate(OPTION_LETTERS) for c in (letter, letter.upper())}
+_LETTER_CLASS = f"[{''.join(_LETTER_INDEX)}]"
 # Leading option letter: "(b) ...", "b) ...", "b. ...", "B: ...", or just "b".
-_LEADING_LETTER = re.compile(r"^\(?([a-dA-D])(?:[\).:,]\s*|\)\s*|\s*$)")
+_LEADING_LETTER = re.compile(rf"^\(?({_LETTER_CLASS})(?:[\).:,]\s*|\)\s*|\s*$)")
 # Parenthesized letter anywhere: "the answer is (c)".
-_PAREN_LETTER = re.compile(r"\(([a-dA-D])\)")
+_PAREN_LETTER = re.compile(rf"\(({_LETTER_CLASS})\)")
 
 
 def parse_answer(raw: str, options: Iterable[str]) -> int | None:
@@ -124,12 +133,12 @@ def parse_answer(raw: str, options: Iterable[str]) -> int | None:
         return None
     m = _LEADING_LETTER.match(normalized)
     if m:
-        index = "abcd".index(m.group(1).lower())
+        index = _LETTER_INDEX[m.group(1)]
         if index < len(options):
             return index
-    letters = {c.lower() for c in _PAREN_LETTER.findall(normalized)}
-    if len(letters) == 1:
-        index = "abcd".index(letters.pop())
+    indexes = {_LETTER_INDEX[c] for c in _PAREN_LETTER.findall(normalized)}
+    if len(indexes) == 1:
+        index = indexes.pop()
         if index < len(options):
             return index
     for i, option in enumerate(options):
@@ -255,10 +264,8 @@ class MetricsReport:
 
 
 def _gold_index(gold) -> dict[str, Mcq]:
-    """Accept a dataset path, an iterable of Mcq, or an id-keyed dict.
-    Raises DuplicateQuestionId when two questions share an id."""
-    if isinstance(gold, dict):
-        return gold
+    """Index a dataset path or an iterable of Mcq by question_id. Raises
+    DuplicateQuestionId when two questions share an id."""
     if isinstance(gold, (str, bytes)) or hasattr(gold, "__fspath__"):
         gold = iter_dataset(gold)
     index: dict[str, Mcq] = {}
@@ -340,12 +347,13 @@ def score(
 ) -> MetricsReport:
     """Score predictions against gold questions.
 
-    `gold` may be a dataset path, an iterable of Mcq, or a question_id to
-    Mcq dict. Raises UnknownQuestionId for a prediction without a gold
-    question and DuplicatePrediction for a repeated question_id. When
-    calibration_bins is set, it must be positive (ValueError otherwise) and
-    every parseable prediction must carry a confidence (MissingConfidence
-    otherwise).
+    `gold` is a dataset path or an iterable of Mcq. Raises
+    UnknownQuestionId for a prediction without a gold question and
+    DuplicatePrediction for a repeated question_id. When calibration_bins
+    is set, it must be positive (ValueError otherwise), every parseable
+    prediction must carry a confidence (MissingConfidence otherwise), and
+    the report's `calibration` holds that many equal-width reliability
+    bins over [0, 1] with their expected calibration error.
     """
     if calibration_bins is not None and calibration_bins < 1:
         raise ValueError("calibration_bins must be >= 1")
@@ -359,13 +367,6 @@ def score(
             yield pred.question_id, opt_index, confidence
 
     return _score_resolved(index, resolved(), calibration_bins)
-
-
-def reliability(gold, predictions: Iterable[PredictionRecord], n_bins: int = 10) -> CalibrationTable:
-    """Equal-width reliability bins over [0, 1] plus expected calibration
-    error, from confidence-tagged predictions."""
-    report = score(gold, predictions, calibration_bins=n_bins)
-    return report.calibration
 
 
 def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:

@@ -29,7 +29,6 @@ from .errors import (
     DegeneratePose,
     MissingPose,
     NoMatchingOption,
-    ParseError,
 )
 from .geometry import NormalizedPose, descriptor_value
 from .skeleton import catalog_all
@@ -111,11 +110,7 @@ def validate_dataset(
     question whose stored answer disagrees with the oracle becomes a
     mismatch entry; aligned or degenerate recomputations land in skipped.
     """
-    header = read_header(dataset_path)
-    try:
-        cfg = GenerationConfig.from_dict(header.get("config", {}))
-    except ValueError as e:
-        raise ParseError(1, f"dataset header: {e}") from None
+    cfg = GenerationConfig.from_dict(read_header(dataset_path).get("config", {}))
     if thresholds is None:
         thresholds = cfg.thresholds
     records = {rec.image_id: rec for rec in load_manifest(manifest_path)}
@@ -154,10 +149,10 @@ def validate_dataset(
             if oracle_index == mcq.correct_index:
                 continue
             oracle = decode_statement(mcq.target, mcq.options[oracle_index])
-        expected = decode_statement(mcq.target, mcq.options[mcq.correct_index])
         report.mismatches.append({
             "question_id": mcq.question_id,
-            "expected_category": expected.label if expected else None,
+            "expected_category": decode_statement(
+                mcq.target, mcq.options[mcq.correct_index]).label,
             "oracle_category": oracle.label,
         })
     return report

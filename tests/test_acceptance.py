@@ -26,11 +26,9 @@ from handmcq.discretize import (
     DISTANCE_LABELS,
     RELPOS_LABELS,
     ThresholdConfig,
-    categorize_angle,
-    categorize_distance,
-    categorize_offset,
+    categorize,
 )
-from handmcq.evaluate import PredictionRecord, random_baseline, reliability, score
+from handmcq.evaluate import PredictionRecord, random_baseline, score
 from handmcq.geometry import RawPose, joint_angle, normalize_pose
 from handmcq.oracle import validate_dataset
 from handmcq.skeleton import ANGLE_JOINTS, KINDS, catalog, catalog_all
@@ -96,22 +94,22 @@ def test_criterion_03_threshold_boundaries():
         (170.0, ANGLE_LABELS[2], ANGLE_LABELS[3]),
     ]
     for cut, lower, upper in angle_cases:
-        assert categorize_angle(cut, cfg).label == upper
-        assert categorize_angle(cut - eps, cfg).label == lower
+        assert categorize("angle", cut, cfg).label == upper
+        assert categorize("angle", cut - eps, cfg).label == lower
     distance_cases = [
         (0.1, DISTANCE_LABELS[0], DISTANCE_LABELS[1]),
         (0.3, DISTANCE_LABELS[1], DISTANCE_LABELS[2]),
     ]
     for cut, lower, upper in distance_cases:
-        assert categorize_distance(cut, cfg).label == upper
-        assert categorize_distance(cut - eps, cfg).label == lower
+        assert categorize("distance", cut, cfg).label == upper
+        assert categorize("distance", cut - eps, cfg).label == lower
     boundaries = len(angle_cases) + len(distance_cases)
     for axis in "xyz":
         low, mid, high = RELPOS_LABELS[f"relpos_{axis}"]
-        assert categorize_offset(-0.15, axis, cfg).label == mid
-        assert categorize_offset(-0.15 - eps, axis, cfg).label == low
-        assert categorize_offset(0.15, axis, cfg).label == high
-        assert categorize_offset(0.15 - eps, axis, cfg).label == mid
+        assert categorize(f"relpos_{axis}", -0.15, cfg).label == mid
+        assert categorize(f"relpos_{axis}", -0.15 - eps, cfg).label == low
+        assert categorize(f"relpos_{axis}", 0.15, cfg).label == high
+        assert categorize(f"relpos_{axis}", 0.15 - eps, cfg).label == mid
         boundaries += 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -248,11 +246,11 @@ def test_criterion_09_calibration():
         confidence = rng.uniform(0.5, 1.0)
         index = mcq.correct_index if rng.random() < confidence else 1 - mcq.correct_index
         preds.append(letter_pred(mcq.question_id, index, confidence=confidence))
-    table = reliability(gold, preds, n_bins=10)
+    table = score(gold, preds, calibration_bins=10).calibration
     assert table.total == 100_000
     assert table.ece < 0.01
     wrong = [letter_pred(m.question_id, 1 - m.correct_index, confidence=1.0) for m in gold[:5000]]
-    worst = reliability({m.question_id: m for m in gold[:5000]}, wrong, n_bins=10)
+    worst = score(gold[:5000], wrong, calibration_bins=10).calibration
     assert worst.ece == 1.0
     elapsed = time.perf_counter() - start
     passed(9, f"calibrated predictor ECE {table.ece:.4f} < 0.01 over 100k; "

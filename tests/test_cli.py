@@ -306,9 +306,12 @@ def test_validate_rejects_bad_dataset_header(tmp_path, manifest, capsys, tamper,
     header = json.loads(lines[0])
     tamper(header, payload)
     dataset.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    capsys.readouterr()
-    assert run("validate", "--manifest", manifest, "--dataset", dataset) == 3
-    assert "line 1:" in capsys.readouterr().err
+    pred = tmp_path / "p.jsonl"
+    pred.write_text("")
+    for command in ("validate", "score", "baseline", "stats"):
+        capsys.readouterr()
+        assert run(*_read_side_argv(command, manifest, dataset, pred)) == 3, command
+        assert "line 1:" in capsys.readouterr().err, command
 
 
 def test_validate_rejects_float_joint_in_dataset(tmp_path, manifest, capsys):
@@ -406,3 +409,55 @@ def test_jobs_and_trials_must_be_positive(tmp_path, manifest, argv):
         run(command, *paths, *flag)
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "score", "baseline", "stats"])
+@pytest.mark.parametrize("tamper", ["edited_correct_option", "int_prompt"])
+def test_dataset_record_rules_name_the_line_in_every_reader(
+        tmp_path, manifest, gold, capsys, command, tamper):
+    mcqs, dataset = gold
+    lines = dataset.read_text().splitlines()
+    record = json.loads(lines[4])
+    if tamper == "int_prompt":
+        record["prompt"] = 5
+    else:
+        record["options"][record["correct_index"]] += "!"
+    lines[4] = json.dumps(record)
+    dataset.write_text("\n".join(lines) + "\n")
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": mcqs[0].question_id, "raw_answer": "(a)"}) + "\n")
+    capsys.readouterr()
+    assert run(*_read_side_argv(command, manifest, dataset, pred)) == 3
+    assert "line 5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "score"])
+def test_non_utf8_input_names_its_line(tmp_path, manifest, gold, capsys, command):
+    _, dataset = gold
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n" + b'{"question_id": "a\xff"}\n')
+    argv = (("generate", "--manifest", bad, "--out", tmp_path / "out.jsonl")
+            if command == "generate" else ("score", "--gold", dataset, "--pred", bad))
+    capsys.readouterr()
+    assert run(*argv) == 3
+    assert "line 2: not UTF-8" in capsys.readouterr().err
+
+
+def test_boolean_joint_coordinate_exits_3(tmp_path, manifest, capsys):
+    lines = manifest.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["joints"][4][0] = True
+    lines[2] = json.dumps(record)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("generate", "--manifest", manifest, "--out", tmp_path / "d.jsonl") == 3
+    assert "line 3:" in capsys.readouterr().err
+
+
+def test_threshold_too_large_for_a_float_exits_3(tmp_path, manifest, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"thresholds": {"relpos_band": 1' + "0" * 400 + "}}")
+    capsys.readouterr()
+    assert run("generate", "--manifest", manifest, "--out", tmp_path / "d.jsonl",
+               "--config", config) == 3
+    assert "relpos_band" in capsys.readouterr().err

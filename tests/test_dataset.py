@@ -1,6 +1,8 @@
 import json
 import random
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from handmcq.dataset import (
     normalized_pose_for,
     question_id,
     read_header,
+    read_jsonl,
 )
 from handmcq.discretize import ThresholdConfig, categorize
 from handmcq.errors import DuplicateImageId, ParseError
@@ -88,6 +91,49 @@ def test_loaders_reject_a_line_that_is_not_an_object_alike(tmp_path, loader, lin
     with pytest.raises(ParseError) as exc:
         list(loader(path))
     assert (exc.value.line_no, exc.value.reason) == (3, "record must be a JSON object")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("joint", True),
+    ("joint", False),
+    ("joint", "0.5"),
+    ("image_path", {"file": "a.jpg"}),
+    ("image_path", 5),
+    ("axis_flips", [True, -1, 1]),
+    ("axis_flips", [1, -1.0, 1]),
+], ids=["true_coordinate", "false_coordinate", "string_coordinate", "dict_image_path",
+        "int_image_path", "true_axis_flip", "float_axis_flip"])
+def test_load_manifest_takes_only_json_numbers_and_a_string_path(tmp_path, field, value):
+    rng = random.Random(3)
+    good = {"image_id": "a", "joints": random_joints(rng).tolist(), "image_path": "a.jpg"}
+    bad = {"image_id": "b", "joints": random_joints(rng).tolist()}
+    if field == "joint":
+        bad["joints"][7][1] = value
+    else:
+        bad[field] = value
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(load_manifest(path))
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("loader", [load_manifest, iter_dataset, load_predictions])
+def test_loaders_name_the_line_that_is_not_utf8(tmp_path, loader):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b'\n{"question_id": "a\xff"}\n')
+    with pytest.raises(ParseError) as exc:
+        list(loader(path))
+    assert exc.value.line_no == 2
+    assert "UTF-8" in exc.value.reason
+
+
+def test_read_jsonl_splits_and_numbers_lines_as_text_mode_does(tmp_path):
+    # \r and \r\n end lines; \x85, \u2028 and form feed do not.
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b'{"n":1}\r{"n":2}\r\n\r\n{"n":"\xc2\x85\xe2\x80\xa8"}\x0c\n \t\n{"n":4}')
+    assert [(line_no, obj["n"]) for line_no, obj in read_jsonl(path)] == [
+        (1, 1), (2, 2), (4, "\x85\u2028"), (6, 4)]
 
 
 def test_load_manifest_rejects_bad_axis_flips_and_mesh(tmp_path):
@@ -281,6 +327,12 @@ def test_generation_config_validation():
     assert cfg == GenerationConfig(seed=3)
 
 
+@pytest.mark.parametrize("flips", [(), (1, -1), (1, 1, 1, 1)])
+def test_generation_config_needs_three_axis_flips(flips):
+    with pytest.raises(ValueError, match="axis_flips"):
+        GenerationConfig(axis_flips=flips)
+
+
 # ------------------------------------------------------------ whole files
 
 def test_generate_dataset_counts(tmp_path, tiny_manifest):
@@ -323,6 +375,26 @@ def test_generate_dataset_parallel_identical(tmp_path):
     generate_dataset(manifest, GenerationConfig(seed=2), serial, jobs=1)
     generate_dataset(manifest, GenerationConfig(seed=2), parallel, jobs=3)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_generate_dataset_threads_keep_their_own_config(tmp_path):
+    # Two in-process runs at jobs=1 with different seeds, side by side,
+    # must each write the bytes of the same run made alone.
+    manifest = tmp_path / "m.jsonl"
+    synthetic_manifest(manifest, 400, seed=23, kind="random")
+    for seed in (1, 2):
+        generate_dataset(manifest, GenerationConfig(seed=seed), tmp_path / f"serial{seed}.jsonl")
+    barrier = threading.Barrier(2, timeout=60)
+
+    def run(seed):
+        barrier.wait()
+        generate_dataset(manifest, GenerationConfig(seed=seed), tmp_path / f"thread{seed}.jsonl")
+
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(run, (1, 2), timeout=120))
+    for seed in (1, 2):
+        assert ((tmp_path / f"thread{seed}.jsonl").read_bytes()
+                == (tmp_path / f"serial{seed}.jsonl").read_bytes())
 
 
 def test_generate_dataset_parallel_propagates_parse_error(tmp_path):
@@ -392,6 +464,35 @@ def test_iter_dataset_rejects_mistyped_fields(tmp_path, tiny_manifest, kind, fie
         record["target"][field] = value(record["target"][field])
     else:
         record[field] = value(record[field])
+    lines[i] = json.dumps(record)
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(iter_dataset(out))
+    assert exc.value.line_no == i + 1
+
+
+def _edit_correct_option(record):
+    record["options"][record["correct_index"]] += "!"
+
+
+def _add_correct_option(record):
+    record["options"].append("The hand is open.")
+    record["correct_index"] = len(record["options"]) - 1
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda record: record.update(prompt=5),
+    lambda record: record.update(prompt=None),
+    _edit_correct_option,
+    _add_correct_option,
+], ids=["int_prompt", "null_prompt", "edited_correct_option", "added_correct_option"])
+def test_iter_dataset_rejects_a_bad_prompt_or_correct_option(tmp_path, tiny_manifest, tamper):
+    out = tmp_path / "d.jsonl"
+    generate_dataset(tiny_manifest, GenerationConfig(seed=3), out)
+    lines = out.read_text().splitlines()
+    i = _first_line_of_kind(lines, "angle")
+    record = json.loads(lines[i])
+    tamper(record)
     lines[i] = json.dumps(record)
     out.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as exc:

@@ -11,56 +11,53 @@ from handmcq.discretize import (
     Category,
     ThresholdConfig,
     categorize,
-    categorize_angle,
-    categorize_distance,
-    categorize_offset,
 )
 from handmcq.errors import OutOfRange
 
 
 def test_angle_bins():
-    assert categorize_angle(100.0).label == "bent completely inward"
-    assert categorize_angle(104.999).label == "bent completely inward"
-    assert categorize_angle(105.0).label == "bent inward"
-    assert categorize_angle(149.999).label == "bent inward"
-    assert categorize_angle(150.0).label == "bent slightly inward"
-    assert categorize_angle(169.999).label == "bent slightly inward"
-    assert categorize_angle(170.0).label == "straight"
-    assert categorize_angle(0.0).label == "bent completely inward"
-    assert categorize_angle(180.0).label == "straight"
+    assert categorize("angle", 100.0).label == "bent completely inward"
+    assert categorize("angle", 104.999).label == "bent completely inward"
+    assert categorize("angle", 105.0).label == "bent inward"
+    assert categorize("angle", 149.999).label == "bent inward"
+    assert categorize("angle", 150.0).label == "bent slightly inward"
+    assert categorize("angle", 169.999).label == "bent slightly inward"
+    assert categorize("angle", 170.0).label == "straight"
+    assert categorize("angle", 0.0).label == "bent completely inward"
+    assert categorize("angle", 180.0).label == "straight"
 
 
 def test_angle_out_of_range():
     with pytest.raises(OutOfRange):
-        categorize_angle(-0.001)
+        categorize("angle", -0.001)
     with pytest.raises(OutOfRange):
-        categorize_angle(180.001)
+        categorize("angle", 180.001)
 
 
 def test_distance_bins():
-    assert categorize_distance(0.05).label == "close to"
-    assert categorize_distance(0.1).label == "spread from"
-    assert categorize_distance(0.299).label == "spread from"
-    assert categorize_distance(0.3).label == "spread wide from"
-    assert categorize_distance(0.0).label == "close to"
-    assert categorize_distance(5.0).label == "spread wide from"
+    assert categorize("distance", 0.05).label == "close to"
+    assert categorize("distance", 0.1).label == "spread from"
+    assert categorize("distance", 0.299).label == "spread from"
+    assert categorize("distance", 0.3).label == "spread wide from"
+    assert categorize("distance", 0.0).label == "close to"
+    assert categorize("distance", 5.0).label == "spread wide from"
 
 
 def test_distance_out_of_range():
     with pytest.raises(OutOfRange):
-        categorize_distance(-1e-9)
+        categorize("distance", -1e-9)
 
 
 def test_offset_bins_per_axis():
-    assert categorize_offset(-0.2, "x").label == "at the left of"
-    assert categorize_offset(0.0, "x").label == ALIGNED
-    assert categorize_offset(0.2, "x").label == "at the right of"
-    assert categorize_offset(-0.2, "y").label == "below"
-    assert categorize_offset(0.0, "y").label == ALIGNED
-    assert categorize_offset(0.2, "y").label == "above"
-    assert categorize_offset(-0.2, "z").label == "behind"
-    assert categorize_offset(0.15, "z").label == "in front of"
-    assert categorize_offset(-0.15, "z").label == ALIGNED
+    assert categorize("relpos_x", -0.2).label == "at the left of"
+    assert categorize("relpos_x", 0.0).label == ALIGNED
+    assert categorize("relpos_x", 0.2).label == "at the right of"
+    assert categorize("relpos_y", -0.2).label == "below"
+    assert categorize("relpos_y", 0.0).label == ALIGNED
+    assert categorize("relpos_y", 0.2).label == "above"
+    assert categorize("relpos_z", -0.2).label == "behind"
+    assert categorize("relpos_z", 0.15).label == "in front of"
+    assert categorize("relpos_z", -0.15).label == ALIGNED
 
 
 def test_boundary_convention_every_cut():
@@ -73,20 +70,20 @@ def test_boundary_convention_every_cut():
         (150.0, ANGLE_LABELS[1], ANGLE_LABELS[2]),
         (170.0, ANGLE_LABELS[2], ANGLE_LABELS[3]),
     ]:
-        assert categorize_angle(cut - eps, cfg).label == below
-        assert categorize_angle(cut, cfg).label == at
+        assert categorize("angle", cut - eps, cfg).label == below
+        assert categorize("angle", cut, cfg).label == at
     for cut, below, at in [
         (0.1, DISTANCE_LABELS[0], DISTANCE_LABELS[1]),
         (0.3, DISTANCE_LABELS[1], DISTANCE_LABELS[2]),
     ]:
-        assert categorize_distance(cut - eps, cfg).label == below
-        assert categorize_distance(cut, cfg).label == at
+        assert categorize("distance", cut - eps, cfg).label == below
+        assert categorize("distance", cut, cfg).label == at
     for axis in "xyz":
         low, mid, high = RELPOS_LABELS[f"relpos_{axis}"]
-        assert categorize_offset(-0.15 - eps, axis, cfg).label == low
-        assert categorize_offset(-0.15, axis, cfg).label == mid
-        assert categorize_offset(0.15 - eps, axis, cfg).label == mid
-        assert categorize_offset(0.15, axis, cfg).label == high
+        assert categorize(f"relpos_{axis}", -0.15 - eps, cfg).label == low
+        assert categorize(f"relpos_{axis}", -0.15, cfg).label == mid
+        assert categorize(f"relpos_{axis}", 0.15 - eps, cfg).label == mid
+        assert categorize(f"relpos_{axis}", 0.15, cfg).label == high
 
 
 def test_totality_and_monotonicity_bulk():
@@ -116,9 +113,9 @@ def test_totality_and_monotonicity_bulk():
 def test_custom_thresholds():
     cfg = ThresholdConfig(angle_cuts=(90.0, 120.0, 160.0), distance_cuts=(0.05, 0.5),
                           relpos_band=0.25)
-    assert categorize_angle(100.0, cfg).label == "bent inward"
-    assert categorize_distance(0.3, cfg).label == "spread from"
-    assert categorize_offset(0.2, "x", cfg).label == ALIGNED
+    assert categorize("angle", 100.0, cfg).label == "bent inward"
+    assert categorize("distance", 0.3, cfg).label == "spread from"
+    assert categorize("relpos_x", 0.2, cfg).label == ALIGNED
 
 
 def test_threshold_validation():

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import random
+import sys
 
 import pytest
 
+from handmcq import dataset, evaluate
 from handmcq.dataset import Mcq
 from handmcq.discretize import Category, OPTION_LABELS_BY_KIND
 from handmcq.errors import (
@@ -20,7 +23,6 @@ from handmcq.evaluate import (
     ordinal_index,
     parse_answer,
     random_baseline,
-    reliability,
     resolve_prediction,
     score,
 )
@@ -327,7 +329,7 @@ def test_random_baseline_validates_trials():
 def test_reliability_perfectly_confident_correct():
     gold = [make_gold("relpos_y", "above", f"q{i}") for i in range(50)]
     preds = [letter_pred(m.question_id, m.correct_index, confidence=1.0) for m in gold]
-    table = reliability(gold, preds, n_bins=10)
+    table = score(gold, preds, calibration_bins=10).calibration
     populated = [b for b in table.bins if b.count]
     assert len(populated) == 1
     assert populated[0].accuracy == 1.0
@@ -338,7 +340,7 @@ def test_reliability_perfectly_confident_correct():
 def test_reliability_always_confident_always_wrong():
     gold = [make_gold("relpos_y", "above", f"q{i}") for i in range(50)]
     wrong = [letter_pred(m.question_id, 1 - m.correct_index, confidence=1.0) for m in gold]
-    table = reliability(gold, wrong, n_bins=10)
+    table = score(gold, wrong, calibration_bins=10).calibration
     assert table.ece == 1.0
 
 
@@ -353,14 +355,14 @@ def test_reliability_calibrated_predictor_low_ece():
         correct = rng.random() < confidence
         index = mcq.correct_index if correct else 1 - mcq.correct_index
         preds.append(letter_pred(mcq.question_id, index, confidence=confidence))
-    table = reliability(gold, preds, n_bins=10)
+    table = score(gold, preds, calibration_bins=10).calibration
     assert table.ece < 0.03
 
 
 def test_reliability_missing_confidence():
     gold = [make_gold("angle", "straight", "q0")]
     with pytest.raises(MissingConfidence):
-        reliability(gold, [letter_pred("q0", 0)], n_bins=10)
+        score(gold, [letter_pred("q0", 0)], calibration_bins=10)
 
 
 def test_reliability_ignores_unparseable():
@@ -369,7 +371,7 @@ def test_reliability_ignores_unparseable():
         letter_pred("q0", gold[0].correct_index, confidence=1.0),
         PredictionRecord("q1", raw_answer="cannot tell"),
     ]
-    table = reliability(gold, preds, n_bins=10)
+    table = score(gold, preds, calibration_bins=10).calibration
     assert table.total == 1
     assert table.ece == 0.0
 
@@ -437,3 +439,37 @@ def test_load_predictions_rejects_malformed_values_with_line_number(tmp_path, ba
     with pytest.raises(ParseError) as exc:
         list(load_predictions(path))
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"question_id": "q1", "raw_answer": "(a)", "confidence": True},
+    {"question_id": "q1", "raw_answer": "(a)", "confidence": False},
+    {"question_id": "q1", "raw_answer": "(a)", "confidence": "0.5"},
+    {"question_id": "q1", "option_confidences": [0.2, True]},
+    {"question_id": "q1", "option_confidences": [False, 0.5]},
+    {"question_id": "q1", "option_confidences": ["0.5", 0.5]},
+], ids=["true_confidence", "false_confidence", "numeric_string_confidence",
+        "true_option_confidence", "false_option_confidence", "numeric_string_option_confidence"])
+def test_load_predictions_takes_only_json_numbers_as_confidences(tmp_path, bad):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"question_id": "q0", "raw_answer": "(a)"}) + "\n"
+                    + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(load_predictions(path))
+    assert exc.value.line_no == 2
+
+
+def test_parse_answer_reads_the_letters_from_option_letters(monkeypatch):
+    # A copy of the module, loaded while the dataset's letters are "wxyz",
+    # must read those letters and no others.
+    monkeypatch.setattr(dataset, "OPTION_LETTERS", "wxyz")
+    spec = importlib.util.spec_from_file_location("handmcq._letters_probe", evaluate.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, probe)
+    spec.loader.exec_module(probe)
+    options = ["first", "second", "third", "fourth"]
+    assert probe.parse_answer("(x) second", options) == 1
+    assert probe.parse_answer("Z.", options) == 3
+    assert probe.parse_answer("the answer is (W)", options) == 0
+    assert probe.parse_answer("(b)", options) is None
+    assert parse_answer("(b)", options) == 1

@@ -137,7 +137,13 @@ def _is_header(line: str) -> bool:
         obj = json.loads(line)
     except ValueError:
         return False
-    return isinstance(obj, dict) and isinstance(obj.get("__header__"), dict)
+    if not (isinstance(obj, dict) and isinstance(obj.get("__header__"), dict)):
+        return False
+    try:
+        GenerationConfig.from_dict(obj["__header__"].get("config", {}))
+    except ValueError:
+        return False
+    return True
 
 
 @FUZZ
