@@ -93,8 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_object(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        loaded = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except ValueError as e:  # bytes that are not UTF-8, or invalid JSON
+        raise ValueError(f"{path}: {e}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return loaded

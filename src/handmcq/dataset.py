@@ -568,10 +568,9 @@ def generate_dataset(
     return summary
 
 
-def _read_header(records: Iterator[tuple[int, dict]]) -> dict:
-    """Take the first of a dataset's `read_jsonl` records and return its
-    header payload, whose `config`, when present, must be a valid
-    generation config."""
+def _read_header(records: Iterator[tuple[int, dict]]) -> GenerationConfig:
+    """Take the first of a dataset's `read_jsonl` records, which must be its
+    header, and return the generation config the header records."""
     first = next(records, None)
     if first is None:
         raise ParseError(1, "empty dataset: no __header__ record")
@@ -581,16 +580,18 @@ def _read_header(records: Iterator[tuple[int, dict]]) -> dict:
     header = obj["__header__"]
     if not isinstance(header, dict):
         raise ParseError(line_no, "__header__ must be a JSON object")
+    if "config" not in header:
+        raise ParseError(line_no, "dataset header has no config")
     try:
-        GenerationConfig.from_dict(header.get("config", {}))
+        return GenerationConfig.from_dict(header["config"])
     except ValueError as e:
         raise ParseError(line_no, f"dataset header: {e}") from None
-    return header
 
 
-def read_header(path) -> dict:
-    """The payload of the dataset's header. Raises ParseError when the
-    first record is not a header or its config is malformed."""
+def read_config(path) -> GenerationConfig:
+    """The generation config recorded in the dataset's header. Raises
+    ParseError when the first record is not a header or its config is
+    missing or malformed."""
     return _read_header(read_jsonl(path))
 
 

@@ -282,16 +282,14 @@ def _empty_confusion(kind: str) -> dict[str, dict[str, float]]:
 
 
 def _score_resolved(
-    gold: dict[str, Mcq],
-    resolved: Iterable[tuple[str, int | None, float | None]],
+    resolved: Iterable[tuple[Mcq, int | None, float | None]],
     calibration_bins: int | None = None,
 ) -> MetricsReport:
-    """Accumulate metrics from (question_id, option index, confidence) triples.
+    """Accumulate metrics from (gold Mcq, option index, confidence) triples.
 
     Pure reduction: the result does not depend on iteration order.
     """
     report = MetricsReport()
-    seen: set[str] = set()
     abs_err = {kind: 0 for kind in ORDINAL_KINDS}
     err_n = {kind: 0 for kind in ORDINAL_KINDS}
     calib: CalibrationTable | None = None
@@ -300,13 +298,7 @@ def _score_resolved(
             bins=[CalibrationBin(lo=i / calibration_bins, hi=(i + 1) / calibration_bins)
                   for i in range(calibration_bins)]
         )
-    for qid, index, confidence in resolved:
-        mcq = gold.get(qid)
-        if mcq is None:
-            raise UnknownQuestionId(qid)
-        if qid in seen:
-            raise DuplicatePrediction(qid)
-        seen.add(qid)
+    for mcq, index, confidence in resolved:
         kind = mcq.kind
         metric = report.per_kind.setdefault(kind, KindMetrics())
         metric.count += 1
@@ -327,7 +319,7 @@ def _score_resolved(
                 err_n[kind] += 1
         if calib is not None:
             if confidence is None:
-                raise MissingConfidence(qid)
+                raise MissingConfidence(mcq.question_id)
             slot = min(int(confidence * calibration_bins), calibration_bins - 1)
             b = calib.bins[slot]
             b.count += 1
@@ -360,13 +352,19 @@ def score(
     index = _gold_index(gold)
 
     def resolved():
+        seen: set[str] = set()
         for pred in predictions:
-            mcq = index.get(pred.question_id)
-            options = mcq.options if mcq is not None else ()
-            opt_index, confidence = resolve_prediction(pred, options) if mcq else (None, None)
-            yield pred.question_id, opt_index, confidence
+            qid = pred.question_id
+            mcq = index.get(qid)
+            if mcq is None:
+                raise UnknownQuestionId(qid)
+            opt_index, confidence = resolve_prediction(pred, mcq.options)
+            if qid in seen:
+                raise DuplicatePrediction(qid)
+            seen.add(qid)
+            yield mcq, opt_index, confidence
 
-    return _score_resolved(index, resolved(), calibration_bins)
+    return _score_resolved(resolved(), calibration_bins)
 
 
 def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
@@ -382,11 +380,8 @@ def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
     reports = []
     for trial in range(trials):
         rng = random.Random(_stable_u64("baseline", seed, trial))
-        resolved = (
-            (qid, rng.randrange(len(mcq.options)), None)
-            for qid, mcq in index.items()
-        )
-        reports.append(_score_resolved(index, resolved))
+        reports.append(_score_resolved(
+            (mcq, rng.randrange(len(mcq.options)), None) for mcq in index.values()))
     return _average_reports(reports)
 
 

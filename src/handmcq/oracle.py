@@ -9,6 +9,8 @@ threshold-config mismatches, not just categorization bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .dataset import (
     GenerationConfig,
@@ -16,11 +18,12 @@ from .dataset import (
     PoseRecord,
     SkipNote,
     build_mcq,
+    gold_category,
     iter_dataset,
     load_manifest,
     measure,
     normalized_pose_for,
-    read_header,
+    read_config,
 )
 from .discretize import DEFAULT_THRESHOLDS, ThresholdConfig, categorize
 from .errors import (
@@ -110,49 +113,43 @@ def validate_dataset(
     question whose stored answer disagrees with the oracle becomes a
     mismatch entry; aligned or degenerate recomputations land in skipped.
     """
-    cfg = GenerationConfig.from_dict(read_header(dataset_path).get("config", {}))
+    cfg = read_config(dataset_path)
     if thresholds is None:
         thresholds = cfg.thresholds
     records = {rec.image_id: rec for rec in load_manifest(manifest_path)}
     report = ValidationReport()
-    cached_id: str | None = None
-    cached_pose: NormalizedPose | None = None
-    cached_err = ""
-    for mcq in iter_dataset(dataset_path):
-        report.total += 1
-        if mcq.image_id != cached_id:
-            record = records.get(mcq.image_id)
-            if record is None:
-                raise MissingPose(f"image_id {mcq.image_id!r} not in manifest")
-            try:
-                cached_pose = normalized_pose_for(record, cfg)
-            except DegeneratePose as e:
-                cached_pose = None
-                cached_err = str(e)
-            cached_id = mcq.image_id
-        if cached_pose is None:
-            report.skipped.append({"question_id": mcq.question_id,
-                                   "reason": "degenerate_pose", "detail": cached_err})
-            continue
+    for image_id, mcqs in groupby(iter_dataset(dataset_path), key=attrgetter("image_id")):
+        record = records.get(image_id)
+        if record is None:
+            raise MissingPose(f"image_id {image_id!r} not in manifest")
         try:
-            oracle_index = answer_mcq(cached_pose, mcq, thresholds)
-        except AlignedTruth:
-            report.skipped.append({"question_id": mcq.question_id, "reason": "aligned_truth"})
-            continue
-        except DegenerateBone as e:
-            report.skipped.append({"question_id": mcq.question_id,
-                                   "reason": "degenerate_bone", "detail": str(e)})
-            continue
-        except NoMatchingOption as e:
-            oracle = e.category
-        else:
-            if oracle_index == mcq.correct_index:
+            pose = normalized_pose_for(record, cfg)
+        except DegeneratePose as e:
+            pose, pose_error = None, str(e)
+        for mcq in mcqs:
+            report.total += 1
+            if pose is None:
+                report.skipped.append({"question_id": mcq.question_id,
+                                       "reason": "degenerate_pose", "detail": pose_error})
                 continue
-            oracle = decode_statement(mcq.target, mcq.options[oracle_index])
-        report.mismatches.append({
-            "question_id": mcq.question_id,
-            "expected_category": decode_statement(
-                mcq.target, mcq.options[mcq.correct_index]).label,
-            "oracle_category": oracle.label,
-        })
+            try:
+                oracle_index = answer_mcq(pose, mcq, thresholds)
+            except AlignedTruth:
+                report.skipped.append({"question_id": mcq.question_id, "reason": "aligned_truth"})
+                continue
+            except DegenerateBone as e:
+                report.skipped.append({"question_id": mcq.question_id,
+                                       "reason": "degenerate_bone", "detail": str(e)})
+                continue
+            except NoMatchingOption as e:
+                oracle = e.category
+            else:
+                if oracle_index == mcq.correct_index:
+                    continue
+                oracle = decode_statement(mcq.target, mcq.options[oracle_index])
+            report.mismatches.append({
+                "question_id": mcq.question_id,
+                "expected_category": gold_category(mcq).label,
+                "oracle_category": oracle.label,
+            })
     return report

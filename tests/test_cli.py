@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_joints, synthetic_manifest
 from handmcq.cli import main
-from handmcq.dataset import iter_dataset, read_header
+from handmcq.dataset import iter_dataset, read_config
 from handmcq.discretize import OPTION_LABELS_BY_KIND
 from handmcq.evaluate import parse_answer
 
@@ -119,9 +119,9 @@ def test_config_file_overrides_flags(tmp_path, manifest):
     dataset = tmp_path / "d.jsonl"
     assert run("generate", "--manifest", manifest, "--out", dataset,
                "--seed", 1, "--samples-per-type", 5, "--config", config) == 0
-    header = read_header(dataset)
-    assert header["config"]["seed"] == 42
-    assert header["config"]["per_type_samples"] == 2
+    cfg = read_config(dataset)
+    assert cfg.seed == 42
+    assert cfg.per_type_samples == 2
     assert sum(1 for _ in iter_dataset(dataset)) == 6 * 5 * 2
 
 
@@ -261,13 +261,21 @@ def test_score_rejects_confidences_without_mass_on_the_options(tmp_path, gold, c
     ("validate", {"relpos_band": "wide"}, "relpos_band"),
     ("validate", {"thresholds": {"relpos_band": 0.2}, "typo": 1}, "'typo'"),
     ("validate", {"thresholds": {"relpos_band": 0.2}, "seed": "x"}, "seed"),
+    ("generate", b'{"seed": "\xff"}', "cfg.json: 'utf-8' codec can't decode byte 0xff"),
+    ("generate", b'{"seed": 1,', "cfg.json: Expecting property name"),
+    ("validate", b'{"relpos_band": 0.2\xff}', "cfg.json: 'utf-8' codec can't decode byte 0xff"),
+    ("validate", b"{'relpos_band': 0.2}", "cfg.json: Expecting property name"),
 ], ids=["typo_key", "string_bool", "top_level_list", "null_samples", "int_thresholds",
         "int_axis_flips", "bool_seed", "string_cuts", "typo_threshold_key", "nan_band", "inf_cut",
         "validate_top_level_list", "validate_int_thresholds", "validate_string_band",
-        "validate_typo_key_beside_thresholds", "validate_string_seed_beside_thresholds"])
+        "validate_typo_key_beside_thresholds", "validate_string_seed_beside_thresholds",
+        "not_utf8", "invalid_json", "validate_not_utf8", "validate_invalid_json"])
 def test_bad_config_exits_3(tmp_path, manifest, capsys, command, config, named):
     config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(config))
+    if isinstance(config, bytes):
+        config_path.write_bytes(config)
+    else:
+        config_path.write_text(json.dumps(config))
     dataset = tmp_path / "d.jsonl"
     if command == "generate":
         argv = ("generate", "--manifest", manifest, "--out", dataset, "--config", config_path)
@@ -292,13 +300,19 @@ def _set_thresholds(header, payload):
     header["__header__"]["config"]["thresholds"] = payload
 
 
+def _drop_config(header, payload):
+    del header["__header__"]["config"]
+
+
 @pytest.mark.parametrize("tamper,payload", [
     (_set_header, 5),
     (_set_header, ["tool", "handmcq"]),
     (_set_config, "default"),
     (_set_thresholds, 5),
     (_set_thresholds, {"relpos_band": "wide"}),
-], ids=["int_header", "list_header", "string_config", "int_thresholds", "string_band"])
+    (_drop_config, None),
+], ids=["int_header", "list_header", "string_config", "int_thresholds", "string_band",
+        "no_config"])
 def test_validate_rejects_bad_dataset_header(tmp_path, manifest, capsys, tamper, payload):
     dataset = tmp_path / "d.jsonl"
     assert run("generate", "--manifest", manifest, "--out", dataset) == 0

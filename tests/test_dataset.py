@@ -28,7 +28,7 @@ from handmcq.dataset import (
     measure,
     normalized_pose_for,
     question_id,
-    read_header,
+    read_config,
     read_jsonl,
 )
 from handmcq.discretize import ThresholdConfig, categorize
@@ -343,9 +343,8 @@ def test_generate_dataset_counts(tmp_path, tiny_manifest):
     assert summary.mcqs_by_kind == {k: 20 for k in KINDS}
     lines = out.read_text().splitlines()
     assert len(lines) == 101  # header + one line per question
-    header = read_header(out)
-    assert header["tool"] == "handmcq"
-    assert header["config"]["seed"] == 1
+    assert json.loads(lines[0])["__header__"]["tool"] == "handmcq"
+    assert read_config(out) == GenerationConfig(seed=1)
     mcqs = list(iter_dataset(out))
     assert len(mcqs) == 100
     assert summary.skips == {}

@@ -137,10 +137,11 @@ def _is_header(line: str) -> bool:
         obj = json.loads(line)
     except ValueError:
         return False
-    if not (isinstance(obj, dict) and isinstance(obj.get("__header__"), dict)):
+    header = obj.get("__header__") if isinstance(obj, dict) else None
+    if not (isinstance(header, dict) and "config" in header):
         return False
     try:
-        GenerationConfig.from_dict(obj["__header__"].get("config", {}))
+        GenerationConfig.from_dict(header["config"])
     except ValueError:
         return False
     return True
