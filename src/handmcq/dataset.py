@@ -570,7 +570,8 @@ def generate_dataset(
 
 def _read_header(records: Iterator[tuple[int, dict]]) -> GenerationConfig:
     """Take the first of a dataset's `read_jsonl` records, which must be its
-    header, and return the generation config the header records."""
+    header, and return the generation config the header records. The header
+    must name this tool and exactly this reader's version."""
     first = next(records, None)
     if first is None:
         raise ParseError(1, "empty dataset: no __header__ record")
@@ -580,6 +581,11 @@ def _read_header(records: Iterator[tuple[int, dict]]) -> GenerationConfig:
     header = obj["__header__"]
     if not isinstance(header, dict):
         raise ParseError(line_no, "__header__ must be a JSON object")
+    if header.get("tool") != "handmcq":
+        raise ParseError(line_no, f"dataset header tool {header.get('tool')!r} is not 'handmcq'")
+    if header.get("version") != __version__:
+        raise ParseError(line_no, f"dataset header version {header.get('version')!r} "
+                                  f"is not this reader's {__version__!r}")
     if "config" not in header:
         raise ParseError(line_no, "dataset header has no config")
     try:
@@ -590,8 +596,8 @@ def _read_header(records: Iterator[tuple[int, dict]]) -> GenerationConfig:
 
 def read_config(path) -> GenerationConfig:
     """The generation config recorded in the dataset's header. Raises
-    ParseError when the first record is not a header or its config is
-    missing or malformed."""
+    ParseError when the first record is not a header, names another tool or
+    version, or its config is missing or malformed."""
     return _read_header(read_jsonl(path))
 
 

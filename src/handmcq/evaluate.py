@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 
 from .dataset import (
     OPTION_LETTERS,
-    Mcq,
     _stable_u64,
     gold_category,
     iter_dataset,
@@ -35,7 +34,7 @@ from .errors import (
     UnknownQuestionId,
     ZeroConfidenceMass,
 )
-from .skeleton import KINDS
+from .skeleton import KINDS, DescriptorTarget
 from .textgen import decode_statement
 
 ORDINAL_KINDS = ("angle", "distance")
@@ -263,16 +262,40 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _gold_index(gold) -> dict[str, Mcq]:
-    """Index a dataset path or an iterable of Mcq by question_id. Raises
-    DuplicateQuestionId when two questions share an id."""
+@dataclass(frozen=True)
+class _Gold:
+    """The scoring facts of a gold question. Every question with the same
+    (target, options, correct_index) shares one record, so its gold
+    category is decoded once."""
+
+    kind: str
+    target: DescriptorTarget
+    options: tuple[str, ...]
+    correct_index: int
+    category: Category
+
+
+def _gold_index(gold) -> dict[str, _Gold]:
+    """Index a dataset path or an iterable of Mcq by question_id.
+
+    Each id maps to a shared `_Gold` record; the prompt, provenance and
+    the question's own option strings are not kept, so the index costs one
+    dict entry per question plus one record per distinct (target, options,
+    correct_index). Raises DuplicateQuestionId when two questions share an
+    id, and ValueError when a correct option is not a rendered statement.
+    """
     if isinstance(gold, (str, bytes)) or hasattr(gold, "__fspath__"):
         gold = iter_dataset(gold)
-    index: dict[str, Mcq] = {}
+    records: dict[tuple, _Gold] = {}
+    index: dict[str, _Gold] = {}
     for mcq in gold:
         if mcq.question_id in index:
             raise DuplicateQuestionId(f"question_id {mcq.question_id!r}")
-        index[mcq.question_id] = mcq
+        key = (mcq.target, mcq.options, mcq.correct_index)
+        record = records.get(key)
+        if record is None:
+            record = records[key] = _Gold(mcq.kind, *key, gold_category(mcq))
+        index[mcq.question_id] = record
     return index
 
 
@@ -282,10 +305,13 @@ def _empty_confusion(kind: str) -> dict[str, dict[str, float]]:
 
 
 def _score_resolved(
-    resolved: Iterable[tuple[Mcq, int | None, float | None]],
+    resolved: Iterable[tuple[str, _Gold, int | None, float | None]],
     calibration_bins: int | None = None,
 ) -> MetricsReport:
-    """Accumulate metrics from (gold Mcq, option index, confidence) triples.
+    """Accumulate metrics from (question_id, gold record, option index,
+    confidence) tuples. The gold label comes from the record, decoded once
+    when the index was built; the question id only names a prediction
+    that lacks a confidence (MissingConfidence).
 
     Pure reduction: the result does not depend on iteration order.
     """
@@ -298,28 +324,27 @@ def _score_resolved(
             bins=[CalibrationBin(lo=i / calibration_bins, hi=(i + 1) / calibration_bins)
                   for i in range(calibration_bins)]
         )
-    for mcq, index, confidence in resolved:
-        kind = mcq.kind
+    for qid, record, index, confidence in resolved:
+        kind = record.kind
         metric = report.per_kind.setdefault(kind, KindMetrics())
         metric.count += 1
         if index is None:
             metric.unparseable += 1
             report.unparseable += 1
             continue
-        correct = index == mcq.correct_index
+        correct = index == record.correct_index
         if correct:
             metric.correct += 1
-        gold_cat = gold_category(mcq)
-        pred = decode_statement(mcq.target, mcq.options[index])
+        pred = decode_statement(record.target, record.options[index])
         if pred is not None:
             matrix = report.confusion.setdefault(kind, _empty_confusion(kind))
-            matrix[gold_cat.label][pred.label] += 1
+            matrix[record.category.label][pred.label] += 1
             if kind in ORDINAL_KINDS:
-                abs_err[kind] += abs(ordinal_index(pred) - ordinal_index(gold_cat))
+                abs_err[kind] += abs(ordinal_index(pred) - ordinal_index(record.category))
                 err_n[kind] += 1
         if calib is not None:
             if confidence is None:
-                raise MissingConfidence(mcq.question_id)
+                raise MissingConfidence(qid)
             slot = min(int(confidence * calibration_bins), calibration_bins - 1)
             b = calib.bins[slot]
             b.count += 1
@@ -355,14 +380,14 @@ def score(
         seen: set[str] = set()
         for pred in predictions:
             qid = pred.question_id
-            mcq = index.get(qid)
-            if mcq is None:
+            record = index.get(qid)
+            if record is None:
                 raise UnknownQuestionId(qid)
-            opt_index, confidence = resolve_prediction(pred, mcq.options)
+            opt_index, confidence = resolve_prediction(pred, record.options)
             if qid in seen:
                 raise DuplicatePrediction(qid)
             seen.add(qid)
-            yield mcq, opt_index, confidence
+            yield qid, record, opt_index, confidence
 
     return _score_resolved(resolved(), calibration_bins)
 
@@ -381,7 +406,8 @@ def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
     for trial in range(trials):
         rng = random.Random(_stable_u64("baseline", seed, trial))
         reports.append(_score_resolved(
-            (mcq, rng.randrange(len(mcq.options)), None) for mcq in index.values()))
+            (qid, record, rng.randrange(len(record.options)), None)
+            for qid, record in index.items()))
     return _average_reports(reports)
 
 

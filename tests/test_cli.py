@@ -292,27 +292,31 @@ def _set_header(header, payload):
     header["__header__"] = payload
 
 
-def _set_config(header, payload):
-    header["__header__"]["config"] = payload
-
-
 def _set_thresholds(header, payload):
     header["__header__"]["config"]["thresholds"] = payload
 
 
-def _drop_config(header, payload):
-    del header["__header__"]["config"]
+def _set_field(header, payload):
+    key, value = payload
+    header["__header__"][key] = value
+
+
+def _drop_field(header, payload):
+    del header["__header__"][payload]
 
 
 @pytest.mark.parametrize("tamper,payload", [
     (_set_header, 5),
     (_set_header, ["tool", "handmcq"]),
-    (_set_config, "default"),
+    (_set_field, ("config", "default")),
     (_set_thresholds, 5),
     (_set_thresholds, {"relpos_band": "wide"}),
-    (_drop_config, None),
+    (_drop_field, "config"),
+    (_set_field, ("tool", "othertool")),
+    (_drop_field, "version"),
+    (_set_field, ("version", "999.0.0")),
 ], ids=["int_header", "list_header", "string_config", "int_thresholds", "string_band",
-        "no_config"])
+        "no_config", "wrong_tool", "no_version", "unknown_version"])
 def test_validate_rejects_bad_dataset_header(tmp_path, manifest, capsys, tamper, payload):
     dataset = tmp_path / "d.jsonl"
     assert run("generate", "--manifest", manifest, "--out", dataset) == 0

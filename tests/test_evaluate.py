@@ -2,9 +2,11 @@ import importlib.util
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
+from conftest import synthetic_manifest
 from handmcq import dataset, evaluate
 from handmcq.dataset import Mcq
 from handmcq.discretize import Category, OPTION_LABELS_BY_KIND
@@ -322,6 +324,83 @@ def test_duplicate_gold_question_id_rejected():
 def test_random_baseline_validates_trials():
     with pytest.raises(ValueError):
         random_baseline([make_gold("angle", "straight", "q0")], seed=0, trials=0)
+
+
+# ------------------------------------------------------------- gold index
+
+@pytest.fixture(scope="module")
+def catalog_dataset(tmp_path_factory):
+    """Every catalog target on each of 20 aligned-free poses: 2,140 questions."""
+    tmp = tmp_path_factory.mktemp("catalog")
+    synthetic_manifest(tmp / "m.jsonl", 20, seed=7)
+    path = tmp / "d.jsonl"
+    dataset.generate_dataset(tmp / "m.jsonl", dataset.GenerationConfig(seed=3, per_type_samples=23),
+                             path)
+    return path
+
+
+def test_gold_index_shares_one_record_per_target_options_and_answer():
+    index = evaluate._gold_index([
+        make_gold("angle", "straight", "q0"),
+        make_gold("angle", "straight", "q1", image_id="other"),
+        make_gold("angle", "bent inward", "q2"),
+    ])
+    assert index["q0"] is index["q1"]
+    assert index["q2"] is not index["q0"]
+    assert index["q0"].category == Category("angle", "straight")
+
+
+def test_gold_index_keeps_under_512_bytes_per_question(catalog_dataset):
+    n = sum(1 for _ in dataset.iter_dataset(catalog_dataset))
+    assert n >= 2000
+    tracemalloc.start()
+    try:
+        index = evaluate._gold_index(catalog_dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == n
+    assert peak / n < 512
+
+
+def test_score_and_baseline_decode_each_gold_record_once(catalog_dataset, monkeypatch):
+    index = evaluate._gold_index(catalog_dataset)
+    n, records = len(index), len({id(r) for r in index.values()})
+    calls, in_reduce = [], []
+    decode = dataset.decode_statement
+    monkeypatch.setattr(dataset, "decode_statement", lambda *a: calls.append(a) or decode(*a))
+    reduce = evaluate._score_resolved
+
+    def counted_reduce(*args):
+        before = len(calls)
+        report = reduce(*args)
+        in_reduce.append(len(calls) - before)
+        return report
+
+    monkeypatch.setattr(evaluate, "_score_resolved", counted_reduce)
+    random_baseline(catalog_dataset, trials=3)
+    # One decode per question read, one per distinct gold record.
+    assert len(calls) <= n + records
+    score(catalog_dataset, [letter_pred(qid, 0) for qid in index])
+    assert in_reduce == [0, 0, 0, 0]
+
+
+def test_missing_confidence_names_its_question_when_gold_records_are_shared():
+    gold = [make_gold("angle", "straight", "q0"), make_gold("angle", "straight", "q1")]
+    preds = [letter_pred("q0", 3, confidence=0.9), letter_pred("q1", 3)]
+    with pytest.raises(MissingConfidence, match="^q1$"):
+        score(gold, preds, calibration_bins=10)
+
+
+def test_score_and_baseline_read_a_path_and_a_list_of_mcq_alike(catalog_dataset):
+    mcqs = list(dataset.iter_dataset(catalog_dataset))
+    rng = random.Random(5)
+    preds = [letter_pred(m.question_id, rng.randrange(len(m.options)), confidence=rng.random())
+             for m in mcqs]
+    assert (score(catalog_dataset, preds, calibration_bins=10).to_dict()
+            == score(mcqs, preds, calibration_bins=10).to_dict())
+    assert (random_baseline(catalog_dataset, seed=2, trials=3).to_dict()
+            == random_baseline(mcqs, seed=2, trials=3).to_dict())
 
 
 # ------------------------------------------------------------ calibration

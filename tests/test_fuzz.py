@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joints
+from handmcq import __version__
 from handmcq.cli import main
 from handmcq.dataset import (
     GenerationConfig,
@@ -138,7 +139,8 @@ def _is_header(line: str) -> bool:
     except ValueError:
         return False
     header = obj.get("__header__") if isinstance(obj, dict) else None
-    if not (isinstance(header, dict) and "config" in header):
+    if not (isinstance(header, dict) and "config" in header
+            and header.get("tool") == "handmcq" and header.get("version") == __version__):
         return False
     try:
         GenerationConfig.from_dict(header["config"])
