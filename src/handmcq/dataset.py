@@ -42,8 +42,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from ._version import __version__
 from .discretize import (
     DEFAULT_THRESHOLDS,
@@ -55,7 +53,7 @@ from .discretize import (
     check_fields,
 )
 from .errors import DegenerateBone, DegeneratePose, DuplicateImageId, ParseError
-from .geometry import NormalizedPose, RawPose, descriptor_value, normalize_pose
+from .geometry import NormalizedPose, RawPose, _normalize, descriptor_value
 from .skeleton import KINDS, DescriptorTarget, catalog, target_from_fields
 from .textgen import decode_statement, draw_permutation, options_in_order
 
@@ -271,11 +269,10 @@ def _parse_manifest_line(line_no: int, obj: dict) -> PoseRecord:
             raise ParseError(line_no, "axis_flips must be three integers from {-1, 1}")
         flips = tuple(flips)
     try:
-        raw = RawPose(joints=np.asarray(joints, dtype=np.float64),
-                      mesh_vertices=None if mesh is None else np.asarray(mesh, dtype=np.float64))
+        raw = RawPose(joints=joints, mesh_vertices=mesh)
     except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(line_no, str(e)) from None
-    # numpy reads true as 1.0 and "1" as 1.0: only JSON numbers may pass.
+    # `float` reads true as 1.0 and "1" as 1.0: only JSON numbers may pass.
     if not {type(c) for joint in joints for c in joint} <= {int, float}:
         raise ParseError(line_no, "joint coordinates must be numbers")
     return PoseRecord(image_id=image_id, raw_pose=raw, image_path=image_path, axis_flips=flips)
@@ -299,14 +296,7 @@ def load_manifest(path) -> Iterator[PoseRecord]:
 def normalized_pose_for(record: PoseRecord, cfg: GenerationConfig) -> NormalizedPose:
     """Apply axis flips (record-level overrides config-level) and normalize."""
     flips = record.axis_flips if record.axis_flips is not None else cfg.axis_flips
-    raw = record.raw_pose
-    if flips != (1, 1, 1):
-        signs = np.asarray(flips, dtype=np.float64)
-        raw = RawPose(
-            joints=raw.joints * signs,
-            mesh_vertices=None if raw.mesh_vertices is None else raw.mesh_vertices * signs,
-        )
-    return normalize_pose(raw)
+    return _normalize(record.raw_pose, flips)
 
 
 @dataclass(frozen=True)

@@ -366,27 +366,26 @@ def score(
 
     `gold` is a dataset path or an iterable of Mcq. Raises
     UnknownQuestionId for a prediction without a gold question and
-    DuplicatePrediction for a repeated question_id. When calibration_bins
-    is set, it must be positive (ValueError otherwise), every parseable
-    prediction must carry a confidence (MissingConfidence otherwise), and
-    the report's `calibration` holds that many equal-width reliability
-    bins over [0, 1] with their expected calibration error.
+    DuplicatePrediction for a repeated question_id, before resolving the
+    repeat's answer. When calibration_bins is set, it must be positive
+    (ValueError otherwise), every parseable prediction must carry a
+    confidence (MissingConfidence otherwise), and the report's
+    `calibration` holds that many equal-width reliability bins over
+    [0, 1] with their expected calibration error.
     """
     if calibration_bins is not None and calibration_bins < 1:
         raise ValueError("calibration_bins must be >= 1")
     index = _gold_index(gold)
 
     def resolved():
-        seen: set[str] = set()
+        # An answered id stays in the index with its entry set to None.
         for pred in predictions:
             qid = pred.question_id
             record = index.get(qid)
             if record is None:
-                raise UnknownQuestionId(qid)
+                raise (DuplicatePrediction if qid in index else UnknownQuestionId)(qid)
+            index[qid] = None
             opt_index, confidence = resolve_prediction(pred, record.options)
-            if qid in seen:
-                raise DuplicatePrediction(qid)
-            seen.add(qid)
             yield qid, record, opt_index, confidence
 
     return _score_resolved(resolved(), calibration_bins)

@@ -9,9 +9,9 @@ dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import InitVar, dataclass, field
+from itertools import chain
+from typing import Sequence
 
 from .errors import DegenerateBone, DegeneratePose
 from .skeleton import NUM_JOINTS, DescriptorTarget, angle_triplet
@@ -22,28 +22,61 @@ EPS = 1e-9
 
 _AXIS_COL = {"x": 0, "y": 1, "z": 2}
 
+Point = tuple[float, float, float]
+
 
 @dataclass(frozen=True)
 class RawPose:
-    """21 joints in arbitrary consistent units, plus an optional hand mesh."""
+    """21 joints in arbitrary consistent units, as float triples, and the
+    frame that normalizes them: the centroid and largest axis extent of the
+    mesh when `mesh_vertices` is given (`mode` 'mesh'), else of the joints.
 
-    joints: np.ndarray
-    mesh_vertices: np.ndarray | None = None
+    Joints may be any 21 x 3 sequence and the mesh any M x 3 (M >= 3) one,
+    numpy arrays included; the mesh is not kept. Raises ValueError for a
+    wrong shape or a coordinate, centroid or extent that is not finite.
+    """
 
-    def __post_init__(self):
-        joints = np.asarray(self.joints, dtype=np.float64)
-        if joints.shape != (NUM_JOINTS, 3):
-            raise ValueError(f"expected ({NUM_JOINTS}, 3) joints, got {joints.shape}")
-        if not np.isfinite(joints).all():
+    joints: tuple[Point, ...]
+    mesh_vertices: InitVar[Sequence | None] = None
+    mode: str = field(init=False)
+    centroid: Point = field(init=False)
+    # The centroid of the reference with every axis negated: -centroid but
+    # for the sign of a zero. Negating an axis leaves the extent as it is.
+    mirrored_centroid: Point = field(init=False)
+    extent: float = field(init=False)
+
+    def __post_init__(self, mesh_vertices):
+        joints = tuple((float(x), float(y), float(z)) for x, y, z in self.joints)
+        if len(joints) != NUM_JOINTS:
+            raise ValueError(f"expected {NUM_JOINTS} joints, got {len(joints)}")
+        if not all(map(math.isfinite, chain.from_iterable(joints))):
             raise ValueError("joint coordinates must be finite")
-        object.__setattr__(self, "joints", joints)
-        if self.mesh_vertices is not None:
-            mesh = np.asarray(self.mesh_vertices, dtype=np.float64)
-            if mesh.ndim != 2 or mesh.shape[1] != 3 or mesh.shape[0] < 3:
-                raise ValueError("mesh_vertices must be an (M >= 3, 3) array")
-            if not np.isfinite(mesh).all():
-                raise ValueError("mesh coordinates must be finite")
-            object.__setattr__(self, "mesh_vertices", mesh)
+        mode, reference = ("joints", joints) if mesh_vertices is None else ("mesh", mesh_vertices)
+        try:
+            columns = tuple(zip(*reference, strict=True))
+            centroid, mirrored, extents = zip(*map(_column_frame, columns))
+        except (TypeError, ValueError):
+            columns = ()
+        if len(columns) != 3 or len(columns[0]) < 3:
+            raise ValueError("mesh_vertices must be an (M >= 3, 3) array of numbers")
+        extent = max(extents)
+        if not all(map(math.isfinite, (*centroid, extent))):
+            raise ValueError(f"{mode} reference: its centroid and extent must be finite")
+        vars(self).update(joints=joints, mode=mode, centroid=centroid,
+                          mirrored_centroid=mirrored, extent=extent)
+
+
+def _column_frame(column: Sequence[float]) -> tuple[float, float, float]:
+    """(centroid, centroid of the negated column, extent) of one axis. The
+    sum runs left to right from +0.0, as numpy's axis-0 sum does (`sum()` is
+    compensated from Python 3.12 on), so a zero sum is +0.0 either way up
+    and any other sum negates exactly."""
+    total = 0.0
+    for v in column:
+        total += v
+    centroid = float(total / len(column))
+    mirrored = -centroid if total else centroid
+    return centroid, mirrored, float((max(column) - centroid) - (min(column) - centroid))
 
 
 @dataclass(frozen=True)
@@ -54,19 +87,8 @@ class NormalizedPose:
     'mesh' or 'joints'.
     """
 
-    joints: np.ndarray
+    joints: tuple[Point, ...]
     mode: str = "joints"
-    # Flat (x0, y0, z0, x1, ...) copy for fast scalar indexing in hot loops.
-    _flat: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._flat is None:
-            object.__setattr__(self, "_flat", tuple(self.joints.reshape(-1).tolist()))
-
-    def point(self, j: int) -> tuple[float, float, float]:
-        f = self._flat
-        k = 3 * j
-        return (f[k], f[k + 1], f[k + 2])
 
 
 def normalize_pose(raw: RawPose) -> NormalizedPose:
@@ -77,19 +99,20 @@ def normalize_pose(raw: RawPose) -> NormalizedPose:
     their own reference. Raises DegeneratePose when all reference points
     coincide (zero extent on every axis).
     """
-    if raw.mesh_vertices is not None:
-        reference = raw.mesh_vertices
-        mode = "mesh"
-    else:
-        reference = raw.joints
-        mode = "joints"
-    centroid = reference.mean(axis=0)
-    centered_ref = reference - centroid
-    extent = float((centered_ref.max(axis=0) - centered_ref.min(axis=0)).max())
-    if extent <= EPS:
-        raise DegeneratePose(f"{mode} reference has zero extent")
-    joints = (raw.joints - centroid) / extent
-    return NormalizedPose(joints=joints, mode=mode)
+    return _normalize(raw, (1, 1, 1))
+
+
+def _normalize(raw: RawPose, flips: tuple[int, int, int]) -> NormalizedPose:
+    """`normalize_pose` of the pose mirrored on each axis whose flip is -1."""
+    e = raw.extent
+    if e <= EPS:
+        raise DegeneratePose(f"{raw.mode} reference has zero extent")
+    sx, sy, sz = flips
+    cx, cy, cz = (c if s == 1 else m
+                  for s, c, m in zip(flips, raw.centroid, raw.mirrored_centroid))
+    joints = tuple(((sx * x - cx) / e, (sy * y - cy) / e, (sz * z - cz) / e)
+                   for x, y, z in raw.joints)
+    return NormalizedPose(joints=joints, mode=raw.mode)
 
 
 def joint_angle(pose: NormalizedPose, j: int) -> float:
@@ -100,9 +123,9 @@ def joint_angle(pose: NormalizedPose, j: int) -> float:
     exactly 0 or 180 instead of NaN.
     """
     triplet = angle_triplet(j)
-    cx, cy, cz = pose.point(triplet.center)
-    ax, ay, az = pose.point(triplet.prev)
-    bx, by, bz = pose.point(triplet.next)
+    cx, cy, cz = pose.joints[triplet.center]
+    ax, ay, az = pose.joints[triplet.prev]
+    bx, by, bz = pose.joints[triplet.next]
     ux, uy, uz = ax - cx, ay - cy, az - cz
     vx, vy, vz = bx - cx, by - cy, bz - cz
     nu = math.sqrt(ux * ux + uy * uy + uz * uz)
@@ -117,8 +140,8 @@ def joint_angle(pose: NormalizedPose, j: int) -> float:
 def joint_distance(pose: NormalizedPose, pair: tuple[int, int]) -> float:
     """Euclidean distance between two joints."""
     i, k = pair
-    ix, iy, iz = pose.point(i)
-    kx, ky, kz = pose.point(k)
+    ix, iy, iz = pose.joints[i]
+    kx, ky, kz = pose.joints[k]
     dx, dy, dz = ix - kx, iy - ky, iz - kz
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
@@ -128,7 +151,7 @@ def relative_offset(pose: NormalizedPose, pair: tuple[int, int], axis: str) -> f
     along one axis."""
     col = _AXIS_COL[axis]
     i, k = pair
-    return pose._flat[3 * i + col] - pose._flat[3 * k + col]
+    return pose.joints[i][col] - pose.joints[k][col]
 
 
 def descriptor_value(pose: NormalizedPose, target: DescriptorTarget) -> float:

@@ -147,8 +147,9 @@ def test_criterion_05_geometry_invariance():
     assert worst < 1e-6
     for _ in range(200):
         norm = normalize_pose(RawPose(joints=random_joints(rng)))
-        assert float(np.linalg.norm(norm.joints.mean(axis=0))) < 1e-9
-        extent = float((norm.joints.max(axis=0) - norm.joints.min(axis=0)).max())
+        joints = np.asarray(norm.joints)
+        assert float(np.linalg.norm(joints.mean(axis=0))) < 1e-9
+        extent = float((joints.max(axis=0) - joints.min(axis=0)).max())
         assert abs(extent - 1.0) < 1e-9
     elapsed = time.perf_counter() - start
     passed(5, f"1000 rotations+scalings: max angle deviation {worst:.2e} deg; "

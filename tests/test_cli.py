@@ -479,3 +479,26 @@ def test_threshold_too_large_for_a_float_exits_3(tmp_path, manifest, capsys):
     assert run("generate", "--manifest", manifest, "--out", tmp_path / "d.jsonl",
                "--config", config) == 3
     assert "relpos_band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "validate"])
+@pytest.mark.parametrize("field", ["joints", "mesh_vertices"])
+def test_coordinates_whose_frame_overflows_exit_3(tmp_path, manifest, gold, capsys,
+                                                 command, field):
+    # Finite coordinates whose sum overflows: the centroid is not finite, so
+    # every value of the pose would be NaN or a clamped angle.
+    _, dataset = gold
+    rng = random.Random(7)
+    record = {"image_id": "huge", "joints": random_joints(rng).tolist()}
+    if field == "joints":
+        record["joints"] = [[rng.uniform(0, 1e308) for _ in range(3)] for _ in range(21)]
+    else:
+        record["mesh_vertices"] = [[1e308, 1e308, 1e308]] * 3
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    argv = (("generate", "--manifest", manifest, "--out", tmp_path / "out.jsonl")
+            if command == "generate"
+            else ("validate", "--manifest", manifest, "--dataset", dataset))
+    capsys.readouterr()
+    assert run(*argv) == 3
+    assert "line 7:" in capsys.readouterr().err

@@ -51,7 +51,7 @@ def test_load_manifest_well_formed(tmp_path):
     write_manifest(path, {f"img{i}": random_joints(rng) for i in range(3)})
     records = list(load_manifest(path))
     assert [r.image_id for r in records] == ["img0", "img1", "img2"]
-    assert all(r.raw_pose.joints.shape == (21, 3) for r in records)
+    assert all(np.asarray(r.raw_pose.joints).shape == (21, 3) for r in records)
 
 
 def test_load_manifest_rejects_wrong_joint_count(tmp_path):
@@ -194,7 +194,7 @@ def test_planar_pose_exhausts_relpos_x():
     aligned_x = [
         (a, b)
         for a, b in JOINT_PAIRS
-        if abs(pose.joints[a, 0] - pose.joints[b, 0]) < cfg.thresholds.relpos_band
+        if abs(pose.joints[a][0] - pose.joints[b][0]) < cfg.thresholds.relpos_band
     ]
     assert len(aligned_x) == 23
     mcqs, skips = generate_image_mcqs(record, cfg)
@@ -313,7 +313,8 @@ def test_config_level_axis_flips_and_record_override():
     override_pose = normalized_pose_for(record_override, cfg_flip)
     base_pose = normalized_pose_for(record_plain, GenerationConfig(seed=8))
     np.testing.assert_allclose(override_pose.joints, base_pose.joints)
-    np.testing.assert_allclose(flipped_pose.joints[:, 1], -base_pose.joints[:, 1])
+    np.testing.assert_allclose(np.asarray(flipped_pose.joints)[:, 1],
+                               -np.asarray(base_pose.joints)[:, 1])
 
 
 def test_generation_config_validation():
@@ -556,7 +557,7 @@ def test_slot_construction_brute_force():
     pose = normalized_pose_for(record, GenerationConfig())
     for a, b in JOINT_PAIRS:
         for axis in range(3):
-            gap = abs(pose.joints[a, axis] - pose.joints[b, axis])
+            gap = abs(pose.joints[a][axis] - pose.joints[b][axis])
             assert gap >= 0.2
     for kind in KINDS:
         for target in catalog(kind):

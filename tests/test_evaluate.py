@@ -385,6 +385,29 @@ def test_score_and_baseline_decode_each_gold_record_once(catalog_dataset, monkey
     assert in_reduce == [0, 0, 0, 0]
 
 
+def test_score_keeps_no_copy_of_the_predicted_ids(catalog_dataset):
+    # Each prediction brings its own id string, as one read from a file does.
+    qids = list(evaluate._gold_index(catalog_dataset))
+    peaks = []
+    for run in (lambda: evaluate._gold_index(catalog_dataset),
+                lambda: score(catalog_dataset,
+                              (letter_pred((" " + qid)[1:], 0) for qid in qids))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / len(qids) < 40
+
+
+def test_score_reports_a_repeated_id_before_resolving_its_answer():
+    gold = [make_gold("angle", "straight", "q0")]
+    no_mass = PredictionRecord("q0", option_confidences=(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(DuplicatePrediction, match="q0"):
+        score(gold, [letter_pred("q0", 0), no_mass])
+
+
 def test_missing_confidence_names_its_question_when_gold_records_are_shared():
     gold = [make_gold("angle", "straight", "q0"), make_gold("angle", "straight", "q1")]
     preds = [letter_pred("q0", 3, confidence=0.9), letter_pred("q1", 3)]

@@ -118,7 +118,7 @@ def test_enumerate_with_three_aligned_z_pairs():
     aligned_z = [
         (a, b)
         for a, b in JOINT_PAIRS
-        if abs(pose.joints[a, 2] - pose.joints[b, 2]) < cfg.thresholds.relpos_band
+        if abs(pose.joints[a][2] - pose.joints[b][2]) < cfg.thresholds.relpos_band
     ]
     assert len(aligned_z) == 3
     mcqs, skips = enumerate_all_mcqs(record, cfg)
@@ -226,7 +226,7 @@ def test_validate_under_shifted_thresholds(tmp_path):
     for mcq in iter_dataset(dataset):
         if mcq.kind != "angle":
             continue
-        raw = records[mcq.image_id].raw_pose.joints
+        raw = np.asarray(records[mcq.image_id].raw_pose.joints)
         centered = raw - raw.mean(axis=0)
         extent = (centered.max(axis=0) - centered.min(axis=0)).max()
         pts = centered / extent

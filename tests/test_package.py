@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import handmcq
 
 
@@ -11,3 +15,11 @@ def test_star_import():
     namespace: dict = {}
     exec("from handmcq import *", namespace)
     assert set(handmcq.__all__) <= set(namespace)
+
+
+def test_the_cli_does_not_import_numpy():
+    code = "import sys, handmcq.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "False")
