@@ -38,8 +38,6 @@ EXIT_DATA = 3
 EXIT_MISMATCH = 4
 EXIT_IO = 5
 
-DEFAULT_SEED = 0
-
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -59,10 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate an MCQ dataset from a pose manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples-per-type", type=int, default=5)
+    p.add_argument("--seed", type=int, default=GenerationConfig.seed)
+    p.add_argument("--samples-per-type", type=int, default=GenerationConfig.per_type_samples)
     p.add_argument("--config", help="JSON config file; its values override flags")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+    # One worker per CPU this process may run on, not per CPU installed.
+    p.add_argument("--jobs", type=_positive_int, default=len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
                    help="parallel workers (output bytes are identical for any value)")
 
     p = sub.add_parser("validate", help="replay every question against the manifest")
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="uniform random-guess metrics on a gold dataset")
     p.add_argument("--gold", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--report")
 

@@ -22,10 +22,11 @@ generator splices question lines from pre-encoded fragments (`_dump_line`)
 instead of calling `json.dumps`, so it must reproduce this encoding byte
 for byte; the tests compare both.
 
-Generation is deterministic for a fixed (manifest, config): every random
-choice is seeded by a stable hash of (seed, image_id, ...), so inserting or
-removing one image never perturbs another image's questions, and the output
-bytes are independent of the parallelism degree.
+Generation is deterministic for a fixed (manifest, config): its one draw,
+`_seeded_shuffle` of each kind's targets and each question's options, is
+seeded by a stable hash of (seed, image_id, ...), so inserting or removing
+one image never perturbs another image's questions, and the output bytes
+are independent of the parallelism degree.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import os
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 from ._version import __version__
@@ -52,10 +53,10 @@ from .discretize import (
     categorize,
     check_fields,
 )
-from .errors import DegenerateBone, DegeneratePose, DuplicateImageId, ParseError
+from .errors import AlignedTruth, DegenerateBone, DegeneratePose, DuplicateImageId, ParseError
 from .geometry import NormalizedPose, RawPose, _normalize, descriptor_value
 from .skeleton import KINDS, DescriptorTarget, catalog, target_from_fields
-from .textgen import decode_statement, draw_permutation, options_in_order
+from .textgen import decode_statement, options_in_order
 
 PROMPT_QUESTION = "Which of the following statements about the hand in the image is correct?"
 OPTION_LETTERS = "abcd"
@@ -67,6 +68,14 @@ def _stable_u64(*parts) -> int:
     """Platform-stable 64-bit seed from heterogeneous parts."""
     payload = _SEP.join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+
+
+def _seeded_shuffle(items, *parts) -> list:
+    """`items` as a list in the order drawn by the stable hash of `parts`:
+    every random choice generation makes."""
+    items = list(items)
+    random.Random(_stable_u64(*parts)).shuffle(items)
+    return items
 
 
 def _canonical_json(obj) -> str:
@@ -116,13 +125,7 @@ class GenerationConfig:
             raise ValueError("axis_flips must be three entries, each -1 or 1")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "per_type_samples": self.per_type_samples,
-            "thresholds": self.thresholds.to_dict(),
-            "axis_flips": list(self.axis_flips),
-            "resample_on_aligned": self.resample_on_aligned,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenerationConfig":
@@ -142,6 +145,8 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class Mcq:
+    """One question, with the `category` its correct option states."""
+
     question_id: str
     image_id: str
     kind: str
@@ -150,6 +155,13 @@ class Mcq:
     options: tuple[str, ...]
     correct_index: int
     provenance: dict = field(default_factory=dict)
+    category: Category = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        category = decode_statement(self.target, self.options[self.correct_index])
+        if category is None:
+            raise ValueError(f"{self.question_id}: correct option is not a rendered statement")
+        object.__setattr__(self, "category", category)
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +179,7 @@ class Mcq:
     def from_dict(cls, d: dict) -> "Mcq":
         """Raises KeyError, TypeError or ValueError for a record with a
         missing or mistyped field, or whose correct option is not a
-        rendered statement of its target (see `gold_category`)."""
+        rendered statement of its target."""
         target = target_from_fields(
             d["kind"], d["target"]["subject"], d["target"].get("object")
         )
@@ -181,18 +193,8 @@ class Mcq:
         correct_index = d["correct_index"]
         if not _is_int(correct_index) or not 0 <= correct_index < len(options):
             raise ValueError(f"correct_index {correct_index!r} out of range")
-        mcq = cls(
-            question_id=question_id,
-            image_id=image_id,
-            kind=target.kind,
-            target=target,
-            prompt=d["prompt"],
-            options=tuple(options),
-            correct_index=correct_index,
-            provenance=d.get("provenance", {}),
-        )
-        gold_category(mcq)
-        return mcq
+        return cls(question_id, image_id, target.kind, target, d["prompt"], tuple(options),
+                   correct_index, d.get("provenance", {}))
 
 
 @dataclass(frozen=True)
@@ -348,9 +350,14 @@ def assemble_mcq(
     image_id: str, target: DescriptorTarget, category: Category, seed
 ) -> tuple[_Rendering, int]:
     """Draw one question's seeded option order: the rendering of that
-    order and the display index of the true option."""
-    rng = random.Random(_stable_u64(seed, image_id, "options", target.key()))
-    permutation, correct_index = draw_permutation(target, category, rng)
+    order and the display index of the true option. Raises AlignedTruth
+    for an aligned category, which is never asked."""
+    if category.is_aligned:
+        raise AlignedTruth(f"{target.key()} truth is aligned")
+    labels = OPTION_LABELS_BY_KIND[target.kind]
+    permutation = tuple(_seeded_shuffle(range(len(labels)),
+                                        seed, image_id, "options", target.key()))
+    correct_index = permutation.index(labels.index(category.label))
     key = (target, permutation)
     rendering = _RENDERINGS.get(key)
     if rendering is None:
@@ -418,10 +425,8 @@ def _sample_targets(
             skips.append(SkipNote(record.image_id, kind, None, "degenerate_pose", str(e)))
         return None, picks, skips
     for kind in KINDS:
-        pool = list(catalog(kind))
+        pool = _seeded_shuffle(catalog(kind), cfg.seed, record.image_id, "sample", kind)
         budget = min(cfg.per_type_samples, len(pool))
-        rng = random.Random(_stable_u64(cfg.seed, record.image_id, "sample", kind))
-        rng.shuffle(pool)
         if not cfg.resample_on_aligned:
             pool = pool[:budget]
         emitted = 0
@@ -606,20 +611,11 @@ def iter_dataset(path) -> Iterator[Mcq]:
             raise ParseError(line_no, f"bad MCQ record: {e}") from None
 
 
-def gold_category(mcq: Mcq) -> Category:
-    """The category a question's correct option states. Raises ValueError
-    when that option is not a rendered statement of the question's target."""
-    category = decode_statement(mcq.target, mcq.options[mcq.correct_index])
-    if category is None:
-        raise ValueError(f"{mcq.question_id}: correct option is not a rendered statement")
-    return category
-
-
 def label_stats(dataset_path) -> dict[str, dict[str, int]]:
     """Counts of the labels the correct options state, per kind,
     zero-filled over every non-aligned label, in value order."""
     stats: dict[str, Counter] = {k: Counter() for k in KINDS}
     for mcq in iter_dataset(dataset_path):
-        stats[mcq.kind][gold_category(mcq).label] += 1
+        stats[mcq.kind][mcq.category.label] += 1
     return {kind: {label: stats[kind][label] for label in OPTION_LABELS_BY_KIND[kind]}
             for kind in KINDS}

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import OutOfRange
 
@@ -115,11 +115,7 @@ class ThresholdConfig:
         return hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "angle_cuts": list(self.angle_cuts),
-            "distance_cuts": list(self.distance_cuts),
-            "relpos_band": self.relpos_band,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdConfig":

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 from .dataset import (
     OPTION_LETTERS,
     _stable_u64,
-    gold_category,
     iter_dataset,
     read_jsonl,
 )
@@ -265,10 +264,8 @@ class MetricsReport:
 @dataclass(frozen=True)
 class _Gold:
     """The scoring facts of a gold question. Every question with the same
-    (target, options, correct_index) shares one record, so its gold
-    category is decoded once."""
+    (target, options, correct_index) shares one record."""
 
-    kind: str
     target: DescriptorTarget
     options: tuple[str, ...]
     correct_index: int
@@ -281,8 +278,7 @@ def _gold_index(gold) -> dict[str, _Gold]:
     Each id maps to a shared `_Gold` record; the prompt, provenance and
     the question's own option strings are not kept, so the index costs one
     dict entry per question plus one record per distinct (target, options,
-    correct_index). Raises DuplicateQuestionId when two questions share an
-    id, and ValueError when a correct option is not a rendered statement.
+    correct_index). Raises DuplicateQuestionId when two questions share an id.
     """
     if isinstance(gold, (str, bytes)) or hasattr(gold, "__fspath__"):
         gold = iter_dataset(gold)
@@ -294,7 +290,7 @@ def _gold_index(gold) -> dict[str, _Gold]:
         key = (mcq.target, mcq.options, mcq.correct_index)
         record = records.get(key)
         if record is None:
-            record = records[key] = _Gold(mcq.kind, *key, gold_category(mcq))
+            record = records[key] = _Gold(*key, mcq.category)
         index[mcq.question_id] = record
     return index
 
@@ -310,7 +306,7 @@ def _score_resolved(
 ) -> MetricsReport:
     """Accumulate metrics from (question_id, gold record, option index,
     confidence) tuples. The gold label comes from the record, decoded once
-    when the index was built; the question id only names a prediction
+    when its question was read; the question id only names a prediction
     that lacks a confidence (MissingConfidence).
 
     Pure reduction: the result does not depend on iteration order.
@@ -325,7 +321,7 @@ def _score_resolved(
                   for i in range(calibration_bins)]
         )
     for qid, record, index, confidence in resolved:
-        kind = record.kind
+        kind = record.target.kind
         metric = report.per_kind.setdefault(kind, KindMetrics())
         metric.count += 1
         if index is None:

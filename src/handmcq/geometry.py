@@ -33,7 +33,8 @@ class RawPose:
 
     Joints may be any 21 x 3 sequence and the mesh any M x 3 (M >= 3) one,
     numpy arrays included; the mesh is not kept. Raises ValueError for a
-    wrong shape or a coordinate, centroid or extent that is not finite.
+    wrong shape, a coordinate, centroid or extent that is not finite, or
+    joints too far from a mesh for their normalized bones to be measured.
     """
 
     joints: tuple[Point, ...]
@@ -62,6 +63,12 @@ class RawPose:
         extent = max(extents)
         if not all(map(math.isfinite, (*centroid, extent))):
             raise ValueError(f"{mode} reference: its centroid and extent must be finite")
+        if mode == "mesh" and extent > EPS:
+            # Normalized coordinates lie within +-span, so a squared bone
+            # length (three squared differences) is at most 12 span^2.
+            span = max(abs(v - c) for joint in joints for v, c in zip(joint, centroid)) / extent
+            if not math.isfinite(12 * span * span):
+                raise ValueError("joints lie too far from the mesh reference to measure")
         vars(self).update(joints=joints, mode=mode, centroid=centroid,
                           mirrored_centroid=mirrored, extent=extent)
 

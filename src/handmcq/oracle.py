@@ -18,7 +18,6 @@ from .dataset import (
     PoseRecord,
     SkipNote,
     build_mcq,
-    gold_category,
     iter_dataset,
     load_manifest,
     measure,
@@ -149,7 +148,7 @@ def validate_dataset(
                 oracle = decode_statement(mcq.target, mcq.options[oracle_index])
             report.mismatches.append({
                 "question_id": mcq.question_id,
-                "expected_category": gold_category(mcq).label,
+                "expected_category": mcq.category.label,
                 "oracle_category": oracle.label,
             })
     return report

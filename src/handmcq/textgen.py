@@ -1,4 +1,6 @@
-"""Deterministic sentence templates and MCQ option construction.
+"""Deterministic sentence templates: rendering option sentences and
+decoding them back. Nothing here is random; the seeded option order is
+drawn in `dataset`.
 
 Single-joint targets render as "The <joint name> is <label>." and pair
 targets as "The <subject name> is <label> the <object name>." The label
@@ -7,8 +9,6 @@ carries its own preposition ("close to", "at the left of", ...). Every
 decoded back to their category by exact match.
 """
 from __future__ import annotations
-
-import random
 
 from .discretize import _CATEGORIES, OPTION_LABELS_BY_KIND, Category
 from .errors import AlignedTruth
@@ -56,27 +56,6 @@ def render_statement(target: DescriptorTarget, category: Category) -> str:
 def decode_statement(target: DescriptorTarget, text: str) -> Category | None:
     """Recover the category a rendered sentence states, or None."""
     return _DECODE[target].get(text)
-
-
-def draw_permutation(
-    target: DescriptorTarget, true_category: Category, rng: random.Random
-) -> tuple[tuple[int, ...], int]:
-    """Seeded display order of a target's option labels, and the display
-    position of the true one.
-
-    `permutation[pos]` is the canonical label index (within the kind's
-    option labels) shown at position `pos`. Raises AlignedTruth when
-    the truth itself is aligned; the caller must skip or resample that
-    target.
-    """
-    if true_category.is_aligned:
-        raise AlignedTruth(f"{target.key()} truth is aligned")
-    labels = OPTION_LABELS_BY_KIND[target.kind]
-    if true_category.label not in labels:
-        raise ValueError(f"label {true_category.label!r} not valid for {target.kind}")
-    permutation = list(range(len(labels)))
-    rng.shuffle(permutation)
-    return tuple(permutation), permutation.index(labels.index(true_category.label))
 
 
 def options_in_order(target: DescriptorTarget, permutation: tuple[int, ...]) -> tuple[str, ...]:

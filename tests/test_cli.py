@@ -429,6 +429,17 @@ def test_jobs_and_trials_must_be_positive(tmp_path, manifest, argv):
     assert not out.exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_jobs_defaults_to_the_cpus_the_process_may_use():
+    code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from handmcq.cli import _build_parser; "
+            "print(_build_parser().parse_args(['generate', '--manifest', 'm', '--out', 'o']).jobs)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "1")
+
+
 @pytest.mark.parametrize("command", ["validate", "score", "baseline", "stats"])
 @pytest.mark.parametrize("tamper", ["edited_correct_option", "int_prompt"])
 def test_dataset_record_rules_name_the_line_in_every_reader(
@@ -482,18 +493,22 @@ def test_threshold_too_large_for_a_float_exits_3(tmp_path, manifest, capsys):
 
 
 @pytest.mark.parametrize("command", ["generate", "validate"])
-@pytest.mark.parametrize("field", ["joints", "mesh_vertices"])
+@pytest.mark.parametrize("field", ["joints", "mesh_vertices", "far_joints"])
 def test_coordinates_whose_frame_overflows_exit_3(tmp_path, manifest, gold, capsys,
                                                  command, field):
     # Finite coordinates whose sum overflows: the centroid is not finite, so
-    # every value of the pose would be NaN or a clamped angle.
+    # every value of the pose would be NaN or a clamped angle. Joints far
+    # outside a tiny mesh overflow the same way once normalized.
     _, dataset = gold
     rng = random.Random(7)
     record = {"image_id": "huge", "joints": random_joints(rng).tolist()}
     if field == "joints":
         record["joints"] = [[rng.uniform(0, 1e308) for _ in range(3)] for _ in range(21)]
-    else:
+    elif field == "mesh_vertices":
         record["mesh_vertices"] = [[1e308, 1e308, 1e308]] * 3
+    else:
+        record["joints"] = [[rng.uniform(0, 1e300) for _ in range(3)] for _ in range(21)]
+        record["mesh_vertices"] = [[rng.uniform(0, 1e-6) for _ in range(3)] for _ in range(10)]
     with open(manifest, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
     argv = (("generate", "--manifest", manifest, "--out", tmp_path / "out.jsonl")

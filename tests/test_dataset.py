@@ -15,6 +15,7 @@ from conftest import (
     synthetic_manifest,
     write_manifest,
 )
+from handmcq import dataset as dataset_module
 from handmcq.dataset import (
     GenerationConfig,
     Mcq,
@@ -31,12 +32,12 @@ from handmcq.dataset import (
     read_config,
     read_jsonl,
 )
-from handmcq.discretize import ThresholdConfig, categorize
+from handmcq.discretize import Category, ThresholdConfig, categorize
 from handmcq.errors import DuplicateImageId, ParseError
 from handmcq.evaluate import load_predictions
 from handmcq.geometry import RawPose, descriptor_value
 from handmcq.skeleton import JOINT_PAIRS, KINDS, catalog, catalog_all
-from handmcq.textgen import decode_statement
+from handmcq.textgen import decode_statement, render_statement
 
 
 def make_record(joints, image_id="img0", **kwargs) -> PoseRecord:
@@ -547,6 +548,31 @@ def test_label_stats_distance_skew_on_random_poses(tmp_path):
     generate_dataset(manifest, GenerationConfig(seed=6), out)
     row = label_stats(out)["distance"]
     assert row["spread wide from"] > row["spread from"] > row["close to"]
+
+
+def test_label_stats_decodes_each_question_once(tmp_path, monkeypatch):
+    manifest = tmp_path / "m.jsonl"
+    synthetic_manifest(manifest, 12, seed=8, kind="random")
+    out = tmp_path / "d.jsonl"
+    generate_dataset(manifest, GenerationConfig(seed=2), out)
+    decode = dataset_module.decode_statement
+    calls = []
+    monkeypatch.setattr(dataset_module, "decode_statement",
+                        lambda target, text: calls.append(text) or decode(target, text))
+    stats = label_stats(out)
+    assert len(calls) == sum(sum(row.values()) for row in stats.values()) == 12 * 25
+
+
+def test_an_mcq_carries_the_category_of_its_correct_option():
+    target = catalog("distance")[0]
+    options = tuple(render_statement(target, Category("distance", label))
+                    for label in ("close to", "spread from", "spread wide from"))
+    fields = dict(question_id="q7", image_id="img", kind="distance", target=target,
+                  prompt="", options=options)
+    assert Mcq(**fields, correct_index=1).category == Category("distance", "spread from")
+    unrendered = {**fields, "options": (*options[:2], "The hand is closed.")}
+    with pytest.raises(ValueError, match="q7: correct option is not a rendered statement"):
+        Mcq(**unrendered, correct_index=2)
 
 
 def test_slot_construction_brute_force():

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import handmcq.dataset
+import handmcq.oracle
 from conftest import aligned_free_joints, random_joints, synthetic_manifest
 from handmcq.dataset import (
     GenerationConfig,
@@ -242,6 +244,26 @@ def test_validate_under_shifted_thresholds(tmp_path):
     shifted = ThresholdConfig(angle_cuts=(105.0, 145.0, 170.0))
     report = validate_dataset(manifest, dataset, thresholds=shifted)
     assert {m["question_id"] for m in report.mismatches} == expected_flips
+
+
+def test_validate_decodes_each_stored_answer_once(tmp_path, monkeypatch):
+    # One decode per stored answer as it is read, plus one per mismatch for
+    # the option the oracle picked; a mismatch's stored answer is not
+    # decoded again.
+    manifest = tmp_path / "m.jsonl"
+    synthetic_manifest(manifest, 40, seed=52, kind="random")
+    dataset = tmp_path / "d.jsonl"
+    generate_dataset(manifest, GenerationConfig(seed=10), dataset)
+    calls = []
+    for module in (handmcq.dataset, handmcq.oracle):
+        decode = module.decode_statement
+        monkeypatch.setattr(module, "decode_statement",
+                            lambda target, text, decode=decode: calls.append(text)
+                            or decode(target, text))
+    shifted = ThresholdConfig(angle_cuts=(105.0, 145.0, 170.0))
+    report = validate_dataset(manifest, dataset, thresholds=shifted)
+    assert report.mismatches
+    assert len(calls) == report.total + len(report.mismatches)
 
 
 def test_validate_reports_aligned_skips_under_wider_band(generated):

@@ -1,12 +1,12 @@
-import random
 from collections import namedtuple
 
 import pytest
 
+from handmcq.dataset import assemble_mcq
 from handmcq.discretize import ALIGNED, OPTION_LABELS_BY_KIND, Category
 from handmcq.errors import AlignedTruth
 from handmcq.skeleton import DescriptorTarget, catalog, joint_index
-from handmcq.textgen import decode_statement, draw_permutation, options_in_order, render_statement
+from handmcq.textgen import decode_statement, render_statement
 
 Options = namedtuple("Options", "options correct_index permutation")
 
@@ -15,9 +15,9 @@ def target_of(kind, subject, obj=None):
     return DescriptorTarget(kind, joint_index(subject), None if obj is None else joint_index(obj))
 
 
-def draw_options(target, truth, rng):
-    permutation, correct_index = draw_permutation(target, truth, rng)
-    return Options(options_in_order(target, permutation), correct_index, permutation)
+def draw_options(target, truth, seed):
+    rendering, correct_index = assemble_mcq("img", target, truth, seed)
+    return Options(rendering.options, correct_index, rendering.permutation)
 
 
 def test_render_pair_worked_example():
@@ -93,7 +93,7 @@ def test_option_counts_by_kind():
         (target_of("relpos_z", "middle_tip", "ring_tip"), Category("relpos_z", "in front of"), 2),
     ]
     for target, truth, expected_count in cases:
-        opts = draw_options(target, truth, random.Random(3))
+        opts = draw_options(target, truth, 3)
         assert len(opts.options) == expected_count
         assert len(set(opts.options)) == expected_count
         assert 0 <= opts.correct_index < expected_count
@@ -101,12 +101,11 @@ def test_option_counts_by_kind():
 
 
 def test_option_round_trip_every_target_and_label():
-    rng = random.Random(0)
     for kind, labels in OPTION_LABELS_BY_KIND.items():
         for target in catalog(kind):
             for label in labels:
                 truth = Category(kind, label)
-                opts = draw_options(target, truth, rng)
+                opts = draw_options(target, truth, 0)
                 assert decode_statement(target, opts.options[opts.correct_index]) == truth
 
 
@@ -115,17 +114,17 @@ def test_aligned_ground_truth_rejected():
         draw_options(
             target_of("relpos_x", "index_pip", "middle_pip"),
             Category("relpos_x", ALIGNED),
-            random.Random(1),
+            1,
         )
 
 
 def test_option_shuffle_determinism():
     target = target_of("distance", "ring_tip", "little_tip")
     truth = Category("distance", "spread from")
-    a = draw_options(target, truth, random.Random(7))
-    b = draw_options(target, truth, random.Random(7))
+    a = draw_options(target, truth, 7)
+    b = draw_options(target, truth, 7)
     assert a == b
-    c = draw_options(target, truth, random.Random(8))
+    c = draw_options(target, truth, 8)
     assert sorted(c.options) == sorted(a.options)
     assert decode_statement(target, c.options[c.correct_index]) == truth
 
@@ -133,7 +132,7 @@ def test_option_shuffle_determinism():
 def test_permutation_records_display_order():
     target = target_of("angle", "thumb_ip")
     truth = Category("angle", "straight")
-    opts = draw_options(target, truth, random.Random(11))
+    opts = draw_options(target, truth, 11)
     labels = OPTION_LABELS_BY_KIND["angle"]
     for pos, label_index in enumerate(opts.permutation):
         expected = render_statement(target, Category("angle", labels[label_index]))
