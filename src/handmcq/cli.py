@@ -96,7 +96,8 @@ def _load_config_object(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-    except ValueError as e:  # bytes that are not UTF-8, or invalid JSON
+    # bytes that are not UTF-8, invalid JSON, or JSON nested too deep to parse
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"{path}: {e}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -143,11 +144,13 @@ def _print_score_report(report, report_path) -> None:
     for kind, matrix in sorted(report.confusion.items()):
         print(f"\nconfusion [{kind}] (rows = gold, columns = predicted)")
         labels = list(OPTION_LABELS_BY_KIND[kind])
-        width = max(len(lb) for lb in labels) + 2
+        rows = {g: [f"{matrix[g][p]:.6g}" for p in labels] for g in labels}
+        # Every cell keeps at least one space before it.
+        width = max(max(len(lb) for lb in labels) + 2,
+                    max(len(cell) for row in rows.values() for cell in row) + 1)
         print(" " * width + "".join(f"{lb:>{width}}" for lb in labels))
-        for g in labels:
-            cells = "".join(f"{matrix[g][p]:>{width}.6g}" for p in labels)
-            print(f"{g:>{width}}" + cells)
+        for g, row in rows.items():
+            print(f"{g:>{width}}" + "".join(f"{cell:>{width}}" for cell in row))
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

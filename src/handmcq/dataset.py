@@ -54,7 +54,7 @@ from .discretize import (
     check_fields,
 )
 from .errors import AlignedTruth, DegenerateBone, DegeneratePose, DuplicateImageId, ParseError
-from .geometry import NormalizedPose, RawPose, _normalize, descriptor_value
+from .geometry import NormalizedPose, RawPose, descriptor_value, normalize_pose
 from .skeleton import KINDS, DescriptorTarget, catalog, target_from_fields
 from .textgen import decode_statement, options_in_order
 
@@ -89,14 +89,32 @@ def question_id(image_id: str, target: DescriptorTarget) -> str:
     return digest.hexdigest()
 
 
+def _axis_flips(flips) -> tuple[int, int, int]:
+    """`flips` as a tuple. Raises ValueError unless it is a list or tuple of
+    three ints (not bools), each -1 or 1."""
+    if isinstance(flips, (list, tuple)) and len(flips) == 3 and all(
+            _is_int(s) and s in (-1, 1) for s in flips):
+        return tuple(flips)
+    raise ValueError("axis_flips must be three integers from {-1, 1}")
+
+
 @dataclass(frozen=True)
 class PoseRecord:
-    """One manifest entry: an image id and its raw pose annotation."""
+    """One manifest entry: an image id and its raw pose annotation. Raises
+    ValueError for an empty image_id, a non-string image_path or bad flips."""
 
     image_id: str
     raw_pose: RawPose
     image_path: str | None = None
     axis_flips: tuple[int, int, int] | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise ValueError("missing or empty image_id")
+        if self.image_path is not None and not isinstance(self.image_path, str):
+            raise ValueError("image_path must be a string")
+        if self.axis_flips is not None:
+            object.__setattr__(self, "axis_flips", _axis_flips(self.axis_flips))
 
 
 @dataclass(frozen=True)
@@ -120,9 +138,7 @@ class GenerationConfig:
         max_pool = max(len(catalog(k)) for k in KINDS)
         if not 1 <= self.per_type_samples <= max_pool:
             raise ValueError(f"per_type_samples must be in [1, {max_pool}]")
-        object.__setattr__(self, "axis_flips", tuple(int(s) for s in self.axis_flips))
-        if len(self.axis_flips) != 3 or any(s not in (-1, 1) for s in self.axis_flips):
-            raise ValueError("axis_flips must be three entries, each -1 or 1")
+        object.__setattr__(self, "axis_flips", _axis_flips(self.axis_flips))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -145,11 +161,11 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class Mcq:
-    """One question, with the `category` its correct option states."""
+    """One question, with the `category` its correct option states. Raises
+    ValueError unless `correct_index` is an int indexing `options`."""
 
     question_id: str
     image_id: str
-    kind: str
     target: DescriptorTarget
     prompt: str
     options: tuple[str, ...]
@@ -157,7 +173,13 @@ class Mcq:
     provenance: dict = field(default_factory=dict)
     category: Category = field(init=False, repr=False, compare=False)
 
+    @property
+    def kind(self) -> str:
+        return self.target.kind
+
     def __post_init__(self):
+        if not _is_int(self.correct_index) or not 0 <= self.correct_index < len(self.options):
+            raise ValueError(f"correct_index {self.correct_index!r} out of range")
         category = decode_statement(self.target, self.options[self.correct_index])
         if category is None:
             raise ValueError(f"{self.question_id}: correct option is not a rendered statement")
@@ -190,11 +212,8 @@ class Mcq:
             raise ValueError("prompt must be a string")
         if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
             raise ValueError("options must be a list of strings")
-        correct_index = d["correct_index"]
-        if not _is_int(correct_index) or not 0 <= correct_index < len(options):
-            raise ValueError(f"correct_index {correct_index!r} out of range")
-        return cls(question_id, image_id, target.kind, target, d["prompt"], tuple(options),
-                   correct_index, d.get("provenance", {}))
+        return cls(question_id, image_id, target, d["prompt"], tuple(options),
+                   d["correct_index"], d.get("provenance", {}))
 
 
 @dataclass(frozen=True)
@@ -234,8 +253,8 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file, the
     one reader of every input file. Raises ParseError naming the line for
-    bytes that are not UTF-8, invalid JSON, or a value that is not a JSON
-    object."""
+    bytes that are not UTF-8, invalid JSON (nesting too deep to parse
+    included), or a value that is not a JSON object."""
     # Bytes that are not UTF-8 are decoded to lone surrogates and caught
     # per line; `isascii` is O(1), so ASCII lines cost nothing extra.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -247,7 +266,7 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
                 raise ParseError(line_no, f"not UTF-8: byte {ord(bad[0]) - 0xDC00:#04x}")
             try:
                 obj = json.loads(line)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:
                 raise ParseError(line_no, f"invalid JSON: {e}") from None
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "record must be a JSON object")
@@ -255,29 +274,16 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
 
 
 def _parse_manifest_line(line_no: int, obj: dict) -> PoseRecord:
-    image_id = obj.get("image_id")
-    if not isinstance(image_id, str) or not image_id:
-        raise ParseError(line_no, "missing or empty image_id")
     joints = obj.get("joints")
-    if not isinstance(joints, list) or len(joints) != 21:
-        raise ParseError(line_no, f"expected 21 joints, got {len(joints) if isinstance(joints, list) else type(joints).__name__}")
-    image_path = obj.get("image_path")
-    if image_path is not None and not isinstance(image_path, str):
-        raise ParseError(line_no, "image_path must be a string")
-    mesh = obj.get("mesh_vertices")
-    flips = obj.get("axis_flips")
-    if flips is not None:
-        if not (isinstance(flips, list) and len(flips) == 3 and all(_is_int(s) and s in (-1, 1) for s in flips)):
-            raise ParseError(line_no, "axis_flips must be three integers from {-1, 1}")
-        flips = tuple(flips)
     try:
-        raw = RawPose(joints=joints, mesh_vertices=mesh)
+        raw = RawPose(joints=joints, mesh_vertices=obj.get("mesh_vertices"))
+        record = PoseRecord(obj.get("image_id"), raw, obj.get("image_path"), obj.get("axis_flips"))
     except (ValueError, TypeError, OverflowError) as e:
         raise ParseError(line_no, str(e)) from None
     # `float` reads true as 1.0 and "1" as 1.0: only JSON numbers may pass.
     if not {type(c) for joint in joints for c in joint} <= {int, float}:
         raise ParseError(line_no, "joint coordinates must be numbers")
-    return PoseRecord(image_id=image_id, raw_pose=raw, image_path=image_path, axis_flips=flips)
+    return record
 
 
 def load_manifest(path) -> Iterator[PoseRecord]:
@@ -298,7 +304,7 @@ def load_manifest(path) -> Iterator[PoseRecord]:
 def normalized_pose_for(record: PoseRecord, cfg: GenerationConfig) -> NormalizedPose:
     """Apply axis flips (record-level overrides config-level) and normalize."""
     flips = record.axis_flips if record.axis_flips is not None else cfg.axis_flips
-    return _normalize(record.raw_pose, flips)
+    return normalize_pose(record.raw_pose, flips)
 
 
 @dataclass(frozen=True)
@@ -318,6 +324,9 @@ class _Rendering:
     tail: str
 
 
+# At most 636 entries: 15 angle targets x 4! orders + 23 distance x 3! +
+# 69 relpos x 2!.
+@functools.cache
 def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> _Rendering:
     options = options_in_order(target, permutation)
     lines = [PROMPT_QUESTION]
@@ -336,11 +345,6 @@ def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> _Renderin
     )
 
 
-# (target, permutation) -> rendering, filled on first use. At most 636
-# entries: 15 angle targets x 4! orders + 23 distance x 3! + 69 relpos x 2!.
-# Threads may race to fill an entry; both render the same value.
-_RENDERINGS: dict[tuple[DescriptorTarget, tuple[int, ...]], _Rendering] = {}
-
 # label -> its JSON string, for every option label of every kind
 _LABEL_JSON = {label: _canonical_json(label)
                for labels in OPTION_LABELS_BY_KIND.values() for label in labels}
@@ -357,42 +361,27 @@ def assemble_mcq(
     labels = OPTION_LABELS_BY_KIND[target.kind]
     permutation = tuple(_seeded_shuffle(range(len(labels)),
                                         seed, image_id, "options", target.key()))
-    correct_index = permutation.index(labels.index(category.label))
-    key = (target, permutation)
-    rendering = _RENDERINGS.get(key)
-    if rendering is None:
-        rendering = _RENDERINGS[key] = _render(target, permutation)
-    return rendering, correct_index
+    return _render(target, permutation), permutation.index(labels.index(category.label))
 
 
-def build_mcq(
+def build_mcqs(
     image_id: str,
-    target: DescriptorTarget,
-    value: float,
-    category: Category,
+    picks: list[tuple[DescriptorTarget, float, Category]],
     cfg: GenerationConfig,
     norm_mode: str,
-    threshold_config_id: str,
-) -> Mcq:
-    """One MCQ with a deterministically shuffled option set."""
-    rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
-    return Mcq(
-        question_id=question_id(image_id, target),
-        image_id=image_id,
-        kind=target.kind,
-        target=target,
-        prompt=rendering.prompt,
-        options=rendering.options,
-        correct_index=correct_index,
-        provenance={
-            "continuous_value": value,
-            "category": category.label,
-            "threshold_config_id": threshold_config_id,
-            "seed": cfg.seed,
-            "permutation": list(rendering.permutation),
-            "norm_mode": norm_mode,
-        },
-    )
+) -> list[Mcq]:
+    """The MCQs of one image's (target, value, category) picks, each with
+    its seeded option order."""
+    threshold_config_id = cfg.thresholds.config_id()
+    mcqs = []
+    for target, value, category in picks:
+        rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
+        provenance = {"continuous_value": value, "category": category.label,
+                      "threshold_config_id": threshold_config_id, "seed": cfg.seed,
+                      "permutation": list(rendering.permutation), "norm_mode": norm_mode}
+        mcqs.append(Mcq(question_id(image_id, target), image_id, target, rendering.prompt,
+                        rendering.options, correct_index, provenance))
+    return mcqs
 
 
 def measure(
@@ -461,10 +450,7 @@ def generate_image_mcqs(
     per kind, without raising.
     """
     norm_mode, picks, skips = _sample_targets(record, cfg)
-    threshold_id = cfg.thresholds.config_id()
-    mcqs = [build_mcq(record.image_id, target, value, category, cfg, norm_mode, threshold_id)
-            for target, value, category in picks]
-    return mcqs, skips
+    return build_mcqs(record.image_id, picks, cfg, norm_mode), skips
 
 
 def _float_json(value: float) -> str:

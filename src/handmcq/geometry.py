@@ -98,19 +98,15 @@ class NormalizedPose:
     mode: str = "joints"
 
 
-def normalize_pose(raw: RawPose) -> NormalizedPose:
-    """Center and isotropically scale a raw pose.
+def normalize_pose(raw: RawPose, flips: tuple[int, int, int] = (1, 1, 1)) -> NormalizedPose:
+    """Center and isotropically scale a raw pose, mirrored first on each
+    axis whose entry in `flips` is -1.
 
     With a mesh: subtract the mesh centroid from the joints and divide by
     the largest mesh axis extent. Without one: same, using the joints as
     their own reference. Raises DegeneratePose when all reference points
     coincide (zero extent on every axis).
     """
-    return _normalize(raw, (1, 1, 1))
-
-
-def _normalize(raw: RawPose, flips: tuple[int, int, int]) -> NormalizedPose:
-    """`normalize_pose` of the pose mirrored on each axis whose flip is -1."""
     e = raw.extent
     if e <= EPS:
         raise DegeneratePose(f"{raw.mode} reference has zero extent")

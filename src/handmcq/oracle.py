@@ -17,7 +17,7 @@ from .dataset import (
     Mcq,
     PoseRecord,
     SkipNote,
-    build_mcq,
+    build_mcqs,
     iter_dataset,
     load_manifest,
     measure,
@@ -65,22 +65,15 @@ def enumerate_all_mcqs(
     Aligned relative-position truths and degenerate targets are skipped
     with notes, so len(mcqs) + len(skips) always covers the full catalog.
     """
-    mcqs: list[Mcq] = []
-    skips: list[SkipNote] = []
     try:
         pose = normalized_pose_for(record, cfg)
     except DegeneratePose as e:
-        return mcqs, [SkipNote(record.image_id, t.kind, t.key(), "degenerate_pose", str(e))
-                      for t in catalog_all()]
-    threshold_id = cfg.thresholds.config_id()
-    for target in catalog_all():
-        measured = measure(record.image_id, pose, target, cfg.thresholds)
-        if isinstance(measured, SkipNote):
-            skips.append(measured)
-        else:
-            mcqs.append(build_mcq(record.image_id, target, *measured,
-                                  cfg, pose.mode, threshold_id))
-    return mcqs, skips
+        return [], [SkipNote(record.image_id, t.kind, t.key(), "degenerate_pose", str(e))
+                    for t in catalog_all()]
+    measured = [(t, measure(record.image_id, pose, t, cfg.thresholds)) for t in catalog_all()]
+    picks = [(t, *m) for t, m in measured if not isinstance(m, SkipNote)]
+    skips = [m for _, m in measured if isinstance(m, SkipNote)]
+    return build_mcqs(record.image_id, picks, cfg, pose.mode), skips
 
 
 @dataclass

@@ -92,6 +92,19 @@ def test_baseline_subcommand(tmp_path, manifest, capsys):
     assert run("baseline", "--gold", dataset, "--seed", 5, "--trials", 3) == 0
     out = capsys.readouterr().out
     assert "accuracy" in out
+    # Each confusion row reads as its gold label and one number per column,
+    # even where a 3-trial mean such as 7.33333 is as wide as a short label.
+    blocks = out.split("\nconfusion [")[1:]
+    assert [block[:block.index("]")] for block in blocks] == sorted(OPTION_LABELS_BY_KIND)
+    for block in blocks:
+        labels = OPTION_LABELS_BY_KIND[block[:block.index("]")]]
+        rows = block.splitlines()[2:2 + len(labels)]
+        cells = []
+        for label, row in zip(labels, rows):
+            assert row.strip().startswith(label)
+            cells.append([float(cell) for cell in row.strip()[len(label):].split()])
+        assert [len(row) for row in cells] == [len(labels)] * len(labels)
+        assert sum(map(sum, cells)) == pytest.approx(6 * 5, abs=1e-3)
 
 
 def test_stats_subcommand(tmp_path, manifest, capsys):
@@ -265,11 +278,13 @@ def test_score_rejects_confidences_without_mass_on_the_options(tmp_path, gold, c
     ("generate", b'{"seed": 1,', "cfg.json: Expecting property name"),
     ("validate", b'{"relpos_band": 0.2\xff}', "cfg.json: 'utf-8' codec can't decode byte 0xff"),
     ("validate", b"{'relpos_band': 0.2}", "cfg.json: Expecting property name"),
+    ("generate", b"[" * 100_000, "cfg.json: maximum recursion depth exceeded"),
 ], ids=["typo_key", "string_bool", "top_level_list", "null_samples", "int_thresholds",
         "int_axis_flips", "bool_seed", "string_cuts", "typo_threshold_key", "nan_band", "inf_cut",
         "validate_top_level_list", "validate_int_thresholds", "validate_string_band",
         "validate_typo_key_beside_thresholds", "validate_string_seed_beside_thresholds",
-        "not_utf8", "invalid_json", "validate_not_utf8", "validate_invalid_json"])
+        "not_utf8", "invalid_json", "validate_not_utf8", "validate_invalid_json",
+        "deep_nesting"])
 def test_bad_config_exits_3(tmp_path, manifest, capsys, command, config, named):
     config_path = tmp_path / "cfg.json"
     if isinstance(config, bytes):

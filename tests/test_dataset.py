@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import threading
@@ -92,6 +93,16 @@ def test_loaders_reject_a_line_that_is_not_an_object_alike(tmp_path, loader, lin
     with pytest.raises(ParseError) as exc:
         list(loader(path))
     assert (exc.value.line_no, exc.value.reason) == (3, "record must be a JSON object")
+
+
+@pytest.mark.parametrize("loader", [load_manifest, iter_dataset, load_predictions])
+def test_loaders_reject_json_nested_too_deep_to_parse(tmp_path, loader):
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n" + "[" * 100_000 + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(loader(path))
+    assert exc.value.line_no == 2
+    assert exc.value.reason.startswith("invalid JSON: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -329,7 +340,7 @@ def test_generation_config_validation():
     assert cfg == GenerationConfig(seed=3)
 
 
-@pytest.mark.parametrize("flips", [(), (1, -1), (1, 1, 1, 1)])
+@pytest.mark.parametrize("flips", [(), (1, -1), (1, 1, 1, 1), (1.0, 1, 1)])
 def test_generation_config_needs_three_axis_flips(flips):
     with pytest.raises(ValueError, match="axis_flips"):
         GenerationConfig(axis_flips=flips)
@@ -567,12 +578,47 @@ def test_an_mcq_carries_the_category_of_its_correct_option():
     target = catalog("distance")[0]
     options = tuple(render_statement(target, Category("distance", label))
                     for label in ("close to", "spread from", "spread wide from"))
-    fields = dict(question_id="q7", image_id="img", kind="distance", target=target,
+    fields = dict(question_id="q7", image_id="img", target=target,
                   prompt="", options=options)
     assert Mcq(**fields, correct_index=1).category == Category("distance", "spread from")
     unrendered = {**fields, "options": (*options[:2], "The hand is closed.")}
     with pytest.raises(ValueError, match="q7: correct option is not a rendered statement"):
         Mcq(**unrendered, correct_index=2)
+
+
+@pytest.mark.parametrize("correct_index", [-1, 3, True])
+def test_an_mcq_needs_an_int_index_into_its_options(correct_index):
+    target = catalog("distance")[0]
+    options = tuple(render_statement(target, Category("distance", label))
+                    for label in ("close to", "spread from", "spread wide from"))
+    with pytest.raises(ValueError, match=f"correct_index {correct_index!r} out of range"):
+        Mcq("q7", "img", target, "", options, correct_index)
+
+
+def test_an_mcq_takes_its_kind_from_its_target():
+    target = catalog("relpos_x")[0]
+    options = tuple(render_statement(target, Category("relpos_x", label))
+                    for label in ("at the left of", "at the right of"))
+    mcq = Mcq("q7", "img", target, "", options, 0)
+    assert mcq.kind == target.kind == "relpos_x"
+    assert "kind" not in {f.name for f in dataclasses.fields(Mcq)}
+    with pytest.raises(TypeError):
+        Mcq("q7", "img", target, "", options, 0, kind="angle")
+
+
+@pytest.mark.parametrize("fields", [
+    {"axis_flips": (2, 1, 1)},
+    {"axis_flips": (0, 1, 1)},
+    {"axis_flips": (True, 1, 1)},
+    {"image_id": ""},
+    {"image_id": 7},
+    {"image_path": 5},
+], ids=["doubling_flip", "zero_flip", "bool_flip", "empty_image_id", "int_image_id",
+        "int_image_path"])
+def test_a_pose_record_checks_its_fields(fields):
+    raw = RawPose(joints=aligned_free_joints())
+    with pytest.raises(ValueError):
+        PoseRecord(**{"image_id": "img", "raw_pose": raw, **fields})
 
 
 def test_slot_construction_brute_force():

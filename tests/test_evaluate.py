@@ -42,7 +42,6 @@ def make_gold(kind: str, label: str, qid: str, image_id: str = "img") -> Mcq:
     return Mcq(
         question_id=qid,
         image_id=image_id,
-        kind=kind,
         target=target,
         prompt="",
         options=options,
