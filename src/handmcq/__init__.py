@@ -42,7 +42,7 @@ from .geometry import (
     normalize_pose,
     relative_offset,
 )
-from .oracle import ValidationReport, answer_mcq, enumerate_all_mcqs, validate_dataset
+from .oracle import ValidationReport, answer_mcq, validate_dataset
 from .skeleton import (
     DescriptorTarget,
     angle_triplet,
@@ -80,7 +80,6 @@ __all__ = [
     "relative_offset",
     "ValidationReport",
     "answer_mcq",
-    "enumerate_all_mcqs",
     "validate_dataset",
     "DescriptorTarget",
     "angle_triplet",

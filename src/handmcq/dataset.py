@@ -212,8 +212,11 @@ class Mcq:
             raise ValueError("prompt must be a string")
         if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
             raise ValueError("options must be a list of strings")
+        provenance = d.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError("provenance must be a JSON object")
         return cls(question_id, image_id, target, d["prompt"], tuple(options),
-                   d["correct_index"], d.get("provenance", {}))
+                   d["correct_index"], provenance)
 
 
 @dataclass(frozen=True)
@@ -364,26 +367,6 @@ def assemble_mcq(
     return _render(target, permutation), permutation.index(labels.index(category.label))
 
 
-def build_mcqs(
-    image_id: str,
-    picks: list[tuple[DescriptorTarget, float, Category]],
-    cfg: GenerationConfig,
-    norm_mode: str,
-) -> list[Mcq]:
-    """The MCQs of one image's (target, value, category) picks, each with
-    its seeded option order."""
-    threshold_config_id = cfg.thresholds.config_id()
-    mcqs = []
-    for target, value, category in picks:
-        rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
-        provenance = {"continuous_value": value, "category": category.label,
-                      "threshold_config_id": threshold_config_id, "seed": cfg.seed,
-                      "permutation": list(rendering.permutation), "norm_mode": norm_mode}
-        mcqs.append(Mcq(question_id(image_id, target), image_id, target, rendering.prompt,
-                        rendering.options, correct_index, provenance))
-    return mcqs
-
-
 def measure(
     image_id: str, pose: NormalizedPose, target: DescriptorTarget, thresholds: ThresholdConfig
 ) -> tuple[float, Category] | SkipNote:
@@ -440,8 +423,9 @@ def generate_image_mcqs(
     record: PoseRecord, cfg: GenerationConfig
 ) -> tuple[list[Mcq], list[SkipNote]]:
     """All MCQs for one image: per kind, a seeded uniform sample of distinct
-    catalog targets. These are the questions `generate_dataset` writes for
-    the record.
+    catalog targets, each with its seeded option order. These are the
+    questions `generate_dataset` writes for the record; per_type_samples=23
+    asks every catalog target.
 
     Aligned relative-position truths and degenerate targets never become
     questions; with resample_on_aligned they are replaced by further draws
@@ -449,8 +433,18 @@ def generate_image_mcqs(
     pool_exhausted note). A degenerate pose skips the whole image, one note
     per kind, without raising.
     """
+    image_id = record.image_id
     norm_mode, picks, skips = _sample_targets(record, cfg)
-    return build_mcqs(record.image_id, picks, cfg, norm_mode), skips
+    threshold_config_id = cfg.thresholds.config_id()
+    mcqs = []
+    for target, value, category in picks:
+        rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
+        provenance = {"continuous_value": value, "category": category.label,
+                      "threshold_config_id": threshold_config_id, "seed": cfg.seed,
+                      "permutation": list(rendering.permutation), "norm_mode": norm_mode}
+        mcqs.append(Mcq(question_id(image_id, target), image_id, target, rendering.prompt,
+                        rendering.options, correct_index, provenance))
+    return mcqs, skips
 
 
 def _float_json(value: float) -> str:

@@ -4,7 +4,8 @@ The oracle never trusts stored continuous values or categories: it
 recomputes every answer from the raw joints through normalization,
 descriptor math, and categorization, then matches the resulting sentence
 against the question's options. This catches serialization drift and
-threshold-config mismatches, not just categorization bugs.
+threshold-config mismatches, not just categorization bugs. It shares no
+target selection or question assembly code with the generator it checks.
 """
 from __future__ import annotations
 
@@ -12,18 +13,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 
-from .dataset import (
-    GenerationConfig,
-    Mcq,
-    PoseRecord,
-    SkipNote,
-    build_mcqs,
-    iter_dataset,
-    load_manifest,
-    measure,
-    normalized_pose_for,
-    read_config,
-)
+from .dataset import Mcq, iter_dataset, load_manifest, normalized_pose_for, read_config
 from .discretize import DEFAULT_THRESHOLDS, ThresholdConfig, categorize
 from .errors import (
     AlignedTruth,
@@ -33,7 +23,6 @@ from .errors import (
     NoMatchingOption,
 )
 from .geometry import NormalizedPose, descriptor_value
-from .skeleton import catalog_all
 from .textgen import decode_statement, render_statement
 
 
@@ -55,25 +44,6 @@ def answer_mcq(
         if option == truth_text:
             return i
     raise NoMatchingOption(mcq.question_id, category)
-
-
-def enumerate_all_mcqs(
-    record: PoseRecord, cfg: GenerationConfig
-) -> tuple[list[Mcq], list[SkipNote]]:
-    """One MCQ per catalog target, in catalog order; at most 107 per pose.
-
-    Aligned relative-position truths and degenerate targets are skipped
-    with notes, so len(mcqs) + len(skips) always covers the full catalog.
-    """
-    try:
-        pose = normalized_pose_for(record, cfg)
-    except DegeneratePose as e:
-        return [], [SkipNote(record.image_id, t.kind, t.key(), "degenerate_pose", str(e))
-                    for t in catalog_all()]
-    measured = [(t, measure(record.image_id, pose, t, cfg.thresholds)) for t in catalog_all()]
-    picks = [(t, *m) for t, m in measured if not isinstance(m, SkipNote)]
-    skips = [m for _, m in measured if isinstance(m, SkipNote)]
-    return build_mcqs(record.image_id, picks, cfg, pose.mode), skips
 
 
 @dataclass

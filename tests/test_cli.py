@@ -390,7 +390,7 @@ def test_stats_count_the_correct_option_not_the_provenance(tmp_path, manifest, c
         label for label in OPTION_LABELS_BY_KIND[record["kind"]] if label != stored)
     lines[1] = json.dumps(record)
     record = json.loads(lines[2])
-    record["provenance"] = "not an object"
+    record["provenance"] = {}
     lines[2] = json.dumps(record)
     dataset.write_text("\n".join(lines) + "\n")
     assert run("stats", "--dataset", dataset, "--json") == 0
@@ -456,7 +456,7 @@ def test_jobs_defaults_to_the_cpus_the_process_may_use():
 
 
 @pytest.mark.parametrize("command", ["validate", "score", "baseline", "stats"])
-@pytest.mark.parametrize("tamper", ["edited_correct_option", "int_prompt"])
+@pytest.mark.parametrize("tamper", ["edited_correct_option", "int_prompt", "int_provenance"])
 def test_dataset_record_rules_name_the_line_in_every_reader(
         tmp_path, manifest, gold, capsys, command, tamper):
     mcqs, dataset = gold
@@ -464,6 +464,8 @@ def test_dataset_record_rules_name_the_line_in_every_reader(
     record = json.loads(lines[4])
     if tamper == "int_prompt":
         record["prompt"] = 5
+    elif tamper == "int_provenance":
+        record["provenance"] = 5
     else:
         record["options"][record["correct_index"]] += "!"
     lines[4] = json.dumps(record)

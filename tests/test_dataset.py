@@ -497,7 +497,10 @@ def _add_correct_option(record):
     lambda record: record.update(prompt=None),
     _edit_correct_option,
     _add_correct_option,
-], ids=["int_prompt", "null_prompt", "edited_correct_option", "added_correct_option"])
+    lambda record: record.update(provenance=5),
+    lambda record: record.update(provenance=[]),
+], ids=["int_prompt", "null_prompt", "edited_correct_option", "added_correct_option",
+        "int_provenance", "list_provenance"])
 def test_iter_dataset_rejects_a_bad_prompt_or_correct_option(tmp_path, tiny_manifest, tamper):
     out = tmp_path / "d.jsonl"
     generate_dataset(tiny_manifest, GenerationConfig(seed=3), out)
