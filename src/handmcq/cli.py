@@ -104,6 +104,20 @@ def _load_config_object(path) -> dict:
     return loaded
 
 
+def _refuse_to_overwrite(out, *inputs) -> None:
+    """Raises OSError before anything is written when the output path names
+    the same file as one of the inputs (None inputs are skipped)."""
+    if out is None:
+        return
+    for path in filter(None, inputs):
+        try:
+            same = os.path.samefile(out, path)
+        except OSError:
+            continue  # a missing output replaces nothing; a missing input fails when read
+        if same:
+            raise OSError(f"{out}: output would replace the input {path}")
+
+
 def _load_generation_config(args) -> GenerationConfig:
     cfg_dict = {
         "seed": args.seed,
@@ -115,6 +129,7 @@ def _load_generation_config(args) -> GenerationConfig:
 
 
 def _cmd_generate(args) -> int:
+    _refuse_to_overwrite(args.out, args.manifest, args.config)
     cfg = _load_generation_config(args)
     summary = generate_dataset(args.manifest, cfg, args.out, jobs=args.jobs)
     print(json.dumps(summary.to_dict(), sort_keys=True))
@@ -158,6 +173,7 @@ def _print_score_report(report, report_path) -> None:
 
 
 def _cmd_score(args) -> int:
+    _refuse_to_overwrite(args.report, args.gold, args.pred)
     report = score(args.gold, load_predictions(args.pred),
                    calibration_bins=args.calibration_bins)
     _print_score_report(report, args.report)
@@ -165,6 +181,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    _refuse_to_overwrite(args.report, args.gold)
     report = random_baseline(args.gold, seed=args.seed, trials=args.trials)
     _print_score_report(report, args.report)
     return EXIT_OK

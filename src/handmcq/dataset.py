@@ -1,8 +1,9 @@
 """Manifest ingestion, per-image target sampling, MCQ assembly, and
 dataset serialization.
 
-File formats (all JSONL, one JSON object per line, read by `read_jsonl`;
-blank lines are skipped and errors name their line):
+File formats (all JSONL, one JSON object per line, split by `_jsonl_lines`
+and parsed by `_parse_jsonl_line`; blank lines are skipped and errors name
+their line):
 
 Manifest record:
     {"image_id": str, "image_path": str?, "joints": [[x,y,z] * 21],
@@ -27,6 +28,11 @@ Generation is deterministic for a fixed (manifest, config): its one draw,
 seeded by a stable hash of (seed, image_id, ...), so inserting or removing
 one image never perturbs another image's questions, and the output bytes
 are independent of the parallelism degree.
+
+`generate_dataset` splits the work so: its workers parse each manifest line
+and generate that image's questions; the parent only reads the manifest's
+text lines, checks image ids for duplicates in manifest order and writes
+the output.
 """
 from __future__ import annotations
 
@@ -253,27 +259,40 @@ class GenerationSummary:
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
-def read_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSONL file, the
-    one reader of every input file. Raises ParseError naming the line for
-    bytes that are not UTF-8, invalid JSON (nesting too deep to parse
-    included), or a value that is not a JSON object."""
-    # Bytes that are not UTF-8 are decoded to lone surrogates and caught
-    # per line; `isascii` is O(1), so ASCII lines cost nothing extra.
+def _jsonl_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for each non-blank line of a JSONL
+    file, numbered as text mode splits lines."""
+    # Bytes that are not UTF-8 are decoded to lone surrogates, which
+    # `_parse_jsonl_line` rejects naming the line.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            if not line.isascii() and (bad := _NOT_UTF8.search(line)):
-                raise ParseError(line_no, f"not UTF-8: byte {ord(bad[0]) - 0xDC00:#04x}")
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as e:
-                raise ParseError(line_no, f"invalid JSON: {e}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(line_no, "record must be a JSON object")
-            yield line_no, obj
+            if line:
+                yield line_no, line
+
+
+def _parse_jsonl_line(line_no: int, line: str) -> dict:
+    """The JSON object on one `_jsonl_lines` line. Raises ParseError naming
+    the line for bytes that are not UTF-8, invalid JSON (nesting too deep
+    to parse included), or a value that is not a JSON object."""
+    # `isascii` is O(1), so ASCII lines cost nothing extra.
+    if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+        raise ParseError(line_no, f"not UTF-8: byte {ord(bad[0]) - 0xDC00:#04x}")
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(line_no, f"invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, "record must be a JSON object")
+    return obj
+
+
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file, the
+    one reader of every input file but the manifest `generate` hands to
+    its workers line by line. Raises ParseError as `_parse_jsonl_line`."""
+    for line_no, line in _jsonl_lines(path):
+        yield line_no, _parse_jsonl_line(line_no, line)
 
 
 def _parse_manifest_line(line_no: int, obj: dict) -> PoseRecord:
@@ -289,6 +308,14 @@ def _parse_manifest_line(line_no: int, obj: dict) -> PoseRecord:
     return record
 
 
+def _check_new_image_id(seen: set[str], image_id: str, line_no: int) -> None:
+    """Add `image_id` to the ids seen so far. Raises DuplicateImageId when
+    an earlier manifest line has it."""
+    if image_id in seen:
+        raise DuplicateImageId(f"image_id {image_id!r} (line {line_no})")
+    seen.add(image_id)
+
+
 def load_manifest(path) -> Iterator[PoseRecord]:
     """Stream pose records from a manifest file, validating as it goes.
 
@@ -298,9 +325,7 @@ def load_manifest(path) -> Iterator[PoseRecord]:
     seen: set[str] = set()
     for line_no, obj in read_jsonl(path):
         record = _parse_manifest_line(line_no, obj)
-        if record.image_id in seen:
-            raise DuplicateImageId(f"image_id {record.image_id!r} (line {line_no})")
-        seen.add(record.image_id)
+        _check_new_image_id(seen, record.image_id, line_no)
         yield record
 
 
@@ -473,11 +498,21 @@ def _dump_line(
             f'{norm_json}{rendering.permutation_json}{run_json}{qid}{rendering.tail}\n')
 
 
-def _generate_lines(cfg: GenerationConfig, run_json: str,
-                    record: PoseRecord) -> tuple[str, list[str], list[str]]:
-    """Worker body: the image's output lines, joined, plus the kinds
-    emitted and the skip reasons. `run_json` is the run-wide fragment
-    ',"seed":...,"threshold_config_id":...},"question_id":"'."""
+def _generate_lines(cfg: GenerationConfig, run_json: str, numbered_line: tuple[int, str]
+                    ) -> tuple[int, str, str, list[str], list[str]] | ParseError:
+    """Worker body: parse one `_jsonl_lines` manifest line and return its
+    line number, image id and output lines, joined, plus the kinds emitted
+    and the skip reasons. `run_json` is the run-wide fragment
+    ',"seed":...,"threshold_config_id":...},"question_id":"'.
+
+    A malformed line's ParseError is returned, not raised: a raise fails
+    the worker's whole chunk, and the lines before it in that chunk would
+    never reach the parent's in-order duplicate-id check."""
+    line_no, line = numbered_line
+    try:
+        record = _parse_manifest_line(line_no, _parse_jsonl_line(line_no, line))
+    except ParseError as e:
+        return e
     image_id = record.image_id
     norm_mode, picks, skips = _sample_targets(record, cfg)
     image_json = _canonical_json(image_id)
@@ -488,7 +523,8 @@ def _generate_lines(cfg: GenerationConfig, run_json: str,
         lines.append(_dump_line(rendering, correct_index, category, value,
                                 question_id(image_id, target), image_json, norm_json,
                                 run_json))
-    return "".join(lines), [target.kind for target, _, _ in picks], [s.reason for s in skips]
+    return (line_no, image_id, "".join(lines), [target.kind for target, _, _ in picks],
+            [s.reason for s in skips])
 
 
 def dataset_header(cfg: GenerationConfig) -> dict:
@@ -512,6 +548,11 @@ def generate_dataset(
     regardless of the parallelism degree. The dataset is streamed into a
     temporary file next to out_path, which replaces out_path only once
     every record is written: a failed run leaves out_path as it was.
+
+    Each worker parses the manifest lines it is handed and returns a bad
+    line's ParseError; results come back in manifest order, where the
+    parent raises that error or checks for a duplicate image id, so the
+    first bad line wins at any `jobs`.
     """
     out_path = os.fspath(out_path)
     if os.path.exists(out_path) and not os.path.isfile(out_path):
@@ -521,14 +562,19 @@ def generate_dataset(
     run_json = (f',"seed":{_canonical_json(cfg.seed)},"threshold_config_id":'
                 f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
     work = functools.partial(_generate_lines, cfg, run_json)
-    records = load_manifest(manifest_path)
+    lines = _jsonl_lines(manifest_path)
+    seen: set[str] = set()
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as out, \
                 (contextlib.nullcontext() if jobs == 1 else multiprocessing.Pool(jobs)) as pool:
             out.write(_canonical_json(dataset_header(cfg)) + "\n")
-            results = map(work, records) if pool is None else pool.imap(work, records, chunksize=16)
-            for text, kinds, skip_reasons in results:
+            results = map(work, lines) if pool is None else pool.imap(work, lines, chunksize=16)
+            for result in results:
+                if isinstance(result, ParseError):
+                    raise result
+                line_no, image_id, text, kinds, skip_reasons = result
+                _check_new_image_id(seen, image_id, line_no)
                 out.write(text)
                 for kind in kinds:
                     summary.mcqs_by_kind[kind] += 1

@@ -199,6 +199,62 @@ def test_failed_generate_leaves_out_as_it_was(tmp_path, manifest, jobs, existing
     assert [p.name for p in out.parent.iterdir()] == ([] if existing is None else ["d.jsonl"])
 
 
+def _with_blank_lines_before(good_lines, *bad_lines) -> bytes:
+    """A manifest whose first bad line is line 6, after three blank ones."""
+    return b"\n".join([good_lines[0], b"", good_lines[1], b" ", b"\t", *bad_lines,
+                       *good_lines[2:]]) + b"\n"
+
+
+def _manifest_line(**fields) -> bytes:
+    rng = random.Random(9)
+    record = {"image_id": "bad", "joints": random_joints(rng).tolist(), **fields}
+    return json.dumps(record).encode()
+
+
+_MALFORMED_MANIFESTS = {
+    "not_utf8": ((b'{"image_id": "a\xff"}',), "line 6: not UTF-8"),
+    "nested_too_deep": ((b"[" * 100_000,), "line 6: invalid JSON"),
+    "not_an_object": ((b"[1, 2, 3]",), "line 6: record must be a JSON object"),
+    "true_coordinate": ((_manifest_line(joints=[[True, 0, 0]] + [[1, 2, 3]] * 20),),
+                        "line 6: joint coordinates must be numbers"),
+    "twenty_joints": ((_manifest_line(joints=[[0, 1, 2]] * 20),),
+                      "line 6: expected 21 joints, got 20"),
+    "mesh_of_1e308_rows": ((_manifest_line(mesh_vertices=[[1e308] * 3] * 50),),
+                           "line 6: mesh reference"),
+    "duplicate_before_malformed": ((_manifest_line(image_id="img000000"), b"", b"[1]"),
+                                   "DuplicateImageId: image_id 'img000000' (line 6)"),
+    "malformed_before_duplicate": ((b"[1]", _manifest_line(image_id="img000000")),
+                                   "line 6: record must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MANIFESTS))
+def test_malformed_manifest_fails_alike_at_every_jobs(tmp_path, manifest, capsys, case):
+    bad_lines, expected = _MALFORMED_MANIFESTS[case]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(_with_blank_lines_before(manifest.read_bytes().splitlines(), *bad_lines))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    errors = []
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run("generate", "--manifest", bad, "--out", out_dir / "d.jsonl",
+                   "--jobs", jobs) == 3
+        errors.append(capsys.readouterr().err)
+        assert list(out_dir.iterdir()) == []
+    assert errors[0] == errors[1]
+    assert expected in errors[0]
+
+
+def test_generate_refuses_to_replace_its_manifest(tmp_path, manifest, capsys):
+    before = manifest.read_bytes()
+    capsys.readouterr()
+    assert run("generate", "--manifest", manifest, "--out", manifest, "--jobs", 2) == 5
+    assert "output would replace the input" in capsys.readouterr().err
+    assert manifest.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.jsonl"]
+
+
 def test_generate_refuses_an_out_that_is_not_a_regular_file(tmp_path, manifest):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -228,6 +284,35 @@ def gold(tmp_path, manifest):
     dataset = tmp_path / "d.jsonl"
     assert run("generate", "--manifest", manifest, "--out", dataset, "--seed", 1) == 0
     return list(iter_dataset(dataset)), dataset
+
+
+def _score_inputs(tmp_path, gold):
+    mcqs, dataset = gold
+    pred = tmp_path / "p.jsonl"
+    pred.write_text(json.dumps({"question_id": mcqs[0].question_id, "raw_answer": "(a)"}) + "\n")
+    return {"--gold": dataset, "--pred": pred}
+
+
+@pytest.mark.parametrize("named", ["--gold", "--pred"])
+def test_score_refuses_a_report_that_replaces_an_input(tmp_path, gold, capsys, named):
+    inputs = _score_inputs(tmp_path, gold)
+    before = {flag: path.read_bytes() for flag, path in inputs.items()}
+    # Another spelling of the same file.
+    report = f"{inputs[named].parent}{os.sep}.{os.sep}{inputs[named].name}"
+    capsys.readouterr()
+    assert run("score", "--gold", inputs["--gold"], "--pred", inputs["--pred"],
+               "--report", report) == 5
+    assert "output would replace the input" in capsys.readouterr().err
+    assert {flag: path.read_bytes() for flag, path in inputs.items()} == before
+
+
+def test_baseline_refuses_a_report_that_replaces_its_gold(tmp_path, gold, capsys):
+    _, dataset = gold
+    before = dataset.read_bytes()
+    capsys.readouterr()
+    assert run("baseline", "--gold", dataset, "--report", dataset) == 5
+    assert "output would replace the input" in capsys.readouterr().err
+    assert dataset.read_bytes() == before
 
 
 @pytest.mark.parametrize("bad_fields", [

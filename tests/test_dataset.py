@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 import random
 import threading
 from collections import Counter
@@ -419,6 +421,27 @@ def test_generate_dataset_parallel_propagates_parse_error(tmp_path):
     out = tmp_path / "d.jsonl"
     with pytest.raises(ParseError):
         generate_dataset(manifest, GenerationConfig(seed=2), out, jobs=2)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched parser")
+def test_generate_parses_the_manifest_only_in_its_workers(tmp_path, monkeypatch):
+    manifest = tmp_path / "m.jsonl"
+    synthetic_manifest(manifest, 40, seed=23, kind="random")
+    serial = tmp_path / "serial.jsonl"
+    generate_dataset(manifest, GenerationConfig(seed=2), serial)
+    parent = os.getpid()
+    parse = dataset_module._parse_manifest_line
+
+    def parse_outside_the_parent(line_no, obj):
+        if os.getpid() == parent:
+            raise AssertionError(f"the parent process parsed manifest line {line_no}")
+        return parse(line_no, obj)
+
+    monkeypatch.setattr(dataset_module, "_parse_manifest_line", parse_outside_the_parent)
+    pooled = tmp_path / "pooled.jsonl"
+    generate_dataset(manifest, GenerationConfig(seed=2), pooled, jobs=2)
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_generate_dataset_empty_manifest(tmp_path):
