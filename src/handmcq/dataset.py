@@ -23,11 +23,11 @@ generator splices question lines from pre-encoded fragments (`_dump_line`)
 instead of calling `json.dumps`, so it must reproduce this encoding byte
 for byte; the tests compare both.
 
-Generation is deterministic for a fixed (manifest, config): its one draw,
-`_seeded_shuffle` of each kind's targets and each question's options, is
-seeded by a stable hash of (seed, image_id, ...), so inserting or removing
-one image never perturbs another image's questions, and the output bytes
-are independent of the parallelism degree.
+Generation is deterministic for a fixed (manifest, config, version): its one
+draw, `_seeded_shuffle` of each kind's targets and each question's options,
+is taken from a blake2b digest of (seed, image_id, ...), so inserting or
+removing one image never perturbs another image's questions, and the output
+bytes are independent of the parallelism degree.
 
 `generate_dataset` splits the work so: its workers parse each manifest line
 and generate that image's questions; the parent only reads the manifest's
@@ -43,7 +43,6 @@ import json
 import math
 import multiprocessing
 import os
-import random
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -70,17 +69,16 @@ OPTION_LETTERS = "abcd"
 _SEP = "\x1f"
 
 
-def _stable_u64(*parts) -> int:
-    """Platform-stable 64-bit seed from heterogeneous parts."""
-    payload = _SEP.join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-
-
 def _seeded_shuffle(items, *parts) -> list:
-    """`items` as a list in the order drawn by the stable hash of `parts`:
-    every random choice generation makes."""
+    """`items` as a list in the order drawn from `parts`: every random
+    choice generation makes. A Fisher-Yates walk takes its swap indices from
+    the 64-byte blake2b digest of the joined parts, read as one integer; for
+    a kind's pool of at most 23 targets the modulo bias is below 2**-437."""
     items = list(items)
-    random.Random(_stable_u64(*parts)).shuffle(items)
+    x = int.from_bytes(hashlib.blake2b(_SEP.join(map(str, parts)).encode()).digest(), "big")
+    for i in range(len(items) - 1, 0, -1):
+        x, j = divmod(x, i + 1)
+        items[i], items[j] = items[j], items[i]
     return items
 
 

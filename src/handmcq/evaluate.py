@@ -11,18 +11,14 @@ and are tallied separately.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .dataset import (
-    OPTION_LETTERS,
-    _stable_u64,
-    iter_dataset,
-    read_jsonl,
-)
+from .dataset import _SEP, OPTION_LETTERS, iter_dataset, read_jsonl
 from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category, _is_number
 from .errors import (
     DuplicatePrediction,
@@ -37,6 +33,12 @@ from .skeleton import KINDS, DescriptorTarget
 from .textgen import decode_statement
 
 ORDINAL_KINDS = ("angle", "distance")
+
+
+def _stable_u64(*parts) -> int:
+    """Platform-stable 64-bit seed from heterogeneous parts."""
+    payload = _SEP.join(str(p) for p in parts).encode()
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
 def ordinal_index(category: Category) -> int:

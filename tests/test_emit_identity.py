@@ -81,17 +81,17 @@ CASES = {
 # sha256 of the generated dataset file, recorded from the reference encoder
 # (`json.dumps` of each `Mcq.to_dict()`).
 DIGESTS = {
-    "big_seed": "bfff489e0371091f847d62926782a5f3e73c9aacb672cf4fb7c449cedeb7d62f",
-    "config_flips": "b77ed518abaaaee87d938bb08920b4d77e4500d036d195a9960002ab06a14668",
-    "default": "6114317df04fd807a68513e41f4c66cc66f34c5c35d27ceef49dda872cc82f3a",
-    "degenerate": "ae09f834202d8d60d36eb724d1872a3c976568089315ae7a567e61454dfe69b8",
-    "full_catalog": "ce3c3d1ded83085f7ed27f8f7cf66b2a83f1f70c2bddadd043d23eaf956c8d6b",
-    "mesh_record_flips": "a4e0fccdf8b8535a0b3b9b52d9b71fa62579bf4e8f08131c2a84a875d96fb7c4",
-    "negative_seed": "3b32b51a6303eb1ab351fa7a36fb373cef61c962b79760e37dc17e541f83bcf3",
-    "no_resample": "755a007f8e2ec19cc25307a0e25b972d9c1ac06b154efe2995c27bb8c6c241fd",
-    "odd_image_ids": "1d173f656c23e6112b070cf3bd3cd5030f74a05421bc83d7954526fe7dbcb4a4",
-    "random": "ffc6db33a91e4c44eef6233a42ebb04071399de9d7fb84caab0456695a19d012",
-    "thresholds": "d7487383f46b07cc3746e0f89692b1527e11d89f829ea38eddc3258d78d5c1c0",
+    "big_seed": "5c6e8f405db01820325b9e820a5a547e087c37a997f876e1469e4fc52f3ec321",
+    "config_flips": "bf91b982e8a3affcaaf86ea22f8f059b6aaa1a919acc30903219d81770458535",
+    "default": "cdc59bd483d2b7c8b026ad046271f855793001662b4db61c35ecff197bfb36b2",
+    "degenerate": "1ede90de55dd808cdc637d14b718e8e7af9a21fe3ecf15532c05e5c0fc7708bf",
+    "full_catalog": "337bfe170ad4e6655a9cb81ec17c2014b0cc02aba8f4333a4851c55b0398b7ae",
+    "mesh_record_flips": "2122e2077f781fc7a8958ebeaffc05628bdc897d074f96db4aaa707f2df1d598",
+    "negative_seed": "f6fef8610e5bf2c8646e5d24b7869939423a78e9b803269704d2707bf91455a8",
+    "no_resample": "28ceca3cd77d30771e8a0bb7747fdca3e7456301f981238d88801078ee95df0d",
+    "odd_image_ids": "2e21cabe0484f957cac42ba202e0dd93dbbd0fa909825f8f70b7128ddf65fcd1",
+    "random": "f5088b5d811c4913d41fb2f69cc79c19ead3e69ba6a190ead53e07cf1ce8be63",
+    "thresholds": "65b049da15ea51d8c46c31c33b26363157339433a38ae63ab2da3e9295d9509a",
 }
 
 

@@ -26,26 +26,26 @@ SHIFTED = ThresholdConfig(angle_cuts=(100.0, 140.0, 175.0), distance_cuts=(0.15,
 
 DIGESTS = {
     "score_letters_calibrated": (
-        "4c6fd15b7e37c1cde5757b5c9a2aae1373f805e8ba8b6f8d924782991875bbd2",
-        "10a2895be4ea5ad0ebbc4e3ba4b3529e9f45fa673ae8f2fa7ef828c92928b584",
+        "ea07bb2ace5ca4229fc97ad7e6655a5d7d03daa2802e62ebd95a2feff2cd43f3",
+        "7c5dd31a2fd69bad40c8d332ea0b254477992bef351b6b024ed4085443def536",
     ),
     "score_option_confidences": (
-        "199fdce57bfce307f30d484ee42cccd91408f96459899ae3905ed42cfd5e0345",
-        "d91e118b01fe9d67317a60d608ea650cd37d6af72347f7cf273c404c5eee52f3",
+        "381ee518c28b27b6c7aa2c8784c7f9cd1bd651a8cb2065e03204f217edba6257",
+        "125fc4ae89143ee702c603dac3f13769ae01d9e0cad649419866780ef95fe576",
     ),
     "score_free_text": (
-        "bc532a7b2643c73566a6435d13d218a66ed8c901a254b0e8c8cbdceb51275fce",
-        "3f0adb28d15dd352ecfaad6f828b87a9ea59132b804516dd75e28ff3867488a8",
+        "28663e18013e674b22ef2c1ff38e52e29fbccbbdd9e6e77f35ae738072b3e31f",
+        "d95d9e5e8edf148251c758cb6477301a15ef0d8f900c3fc829617f63a49f372a",
     ),
     "baseline_trials_1": (
-        "87e957f9015c9435d6ce85894f7d55ddb54ca34e7ebeca3c6612b7f1017daf04",
-        "9cd6d1e93dc40634deb94d7d1d3711fcfc4fdeb699376b7585e9c784956cfbc4",
+        "0da5a0a44530f4559b9ab7877d2ae472ae899228bd209e20cb203e3455639253",
+        "3e911f22b20c3733059becafd2c9f8b93e5020e6879d7b383becf796502d8e7b",
     ),
     "baseline_trials_3": (
-        "af15d7e99e4ab7c13a0f10abefa6dd4708d7a86a9045d182c5594214f36b98b5",
-        "7e5ac060bc78142ec9cdc968b92bab8cf84f1d5eb30f9f0f6eb223e576e8236b",
+        "aa36d11ab5752c9c28cbf7780e3bff281ce8410b45880d1350df3ec475d8215b",
+        "6076caa537cc970260377fcf6adda7ee70cd4000d483f0cbf7bb390632e48b6d",
     ),
-    "validate_shifted": "719f613da68d65b8c694cb987b48718ecf1c99bdd66aec30c30403fa8ac04af1",
+    "validate_shifted": "5baf7e0f51d5b6eb88afd29cefece395a6ae765cdc3847cdc039663af83c7a2a",
 }
 
 
