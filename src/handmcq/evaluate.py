@@ -41,6 +41,15 @@ def _stable_u64(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """Sum left to right from 0.0. `sum()` of floats is compensated from
+    Python 3.12 on, which would make reports differ between versions."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def ordinal_index(category: Category) -> int:
     """Class index of an angle or distance label, ordered by magnitude.
 
@@ -151,7 +160,7 @@ def resolve_prediction(pred: PredictionRecord, options) -> tuple[int | None, flo
     """(option index or None, confidence or None) for one prediction."""
     if pred.option_confidences is not None:
         confs = pred.option_confidences[: len(options)]
-        total = sum(confs)
+        total = _left_sum(confs)
         if total <= 0:
             raise ZeroConfidenceMass(
                 f"{pred.question_id}: option_confidences put no mass on its "
@@ -211,7 +220,7 @@ class CalibrationTable:
         """Expected calibration error: count-weighted mean |accuracy - confidence|."""
         if self.total == 0:
             return 0.0
-        return sum(
+        return _left_sum(
             b.count / self.total * abs(b.accuracy - b.mean_confidence)
             for b in self.bins
         )
@@ -263,10 +272,11 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Gold:
     """The scoring facts of a gold question. Every question with the same
-    (target, options, correct_index) shares one record."""
+    (target, options, correct_index) shares one record, so a record hashes
+    and compares by identity."""
 
     target: DescriptorTarget
     options: tuple[str, ...]
@@ -297,9 +307,13 @@ def _gold_index(gold) -> dict[str, _Gold]:
     return index
 
 
-def _empty_confusion(kind: str) -> dict[str, dict[str, float]]:
-    labels = OPTION_LABELS_BY_KIND[kind]
-    return {g: {p: 0 for p in labels} for g in labels}
+def _confusion_for(report: MetricsReport, kind: str) -> dict[str, dict[str, float]]:
+    """The report's confusion matrix for `kind`, built at its first use."""
+    matrix = report.confusion.get(kind)
+    if matrix is None:
+        labels = OPTION_LABELS_BY_KIND[kind]
+        matrix = report.confusion[kind] = {g: {p: 0 for p in labels} for g in labels}
+    return matrix
 
 
 def _score_resolved(
@@ -311,11 +325,15 @@ def _score_resolved(
     when its question was read; the question id only names a prediction
     that lacks a confidence (MissingConfidence).
 
-    Pure reduction: the result does not depend on iteration order.
+    One pass counts the questions per (record, option index) pair and fills
+    the calibration bins; every other metric is derived from the counts,
+    decoding each distinct pair once. Kinds appear in `per_kind` and
+    `confusion` in the order of their first question. Apart from that
+    order and the calibration sums, the result does not depend on
+    iteration order.
     """
     report = MetricsReport()
-    abs_err = {kind: 0 for kind in ORDINAL_KINDS}
-    err_n = {kind: 0 for kind in ORDINAL_KINDS}
+    counts: dict[tuple[_Gold, int | None], int] = {}
     calib: CalibrationTable | None = None
     if calibration_bins is not None:
         calib = CalibrationTable(
@@ -323,32 +341,35 @@ def _score_resolved(
                   for i in range(calibration_bins)]
         )
     for qid, record, index, confidence in resolved:
-        kind = record.target.kind
-        metric = report.per_kind.setdefault(kind, KindMetrics())
-        metric.count += 1
-        if index is None:
-            metric.unparseable += 1
-            report.unparseable += 1
-            continue
-        correct = index == record.correct_index
-        if correct:
-            metric.correct += 1
-        pred = decode_statement(record.target, record.options[index])
-        if pred is not None:
-            matrix = report.confusion.setdefault(kind, _empty_confusion(kind))
-            matrix[record.category.label][pred.label] += 1
-            if kind in ORDINAL_KINDS:
-                abs_err[kind] += abs(ordinal_index(pred) - ordinal_index(record.category))
-                err_n[kind] += 1
-        if calib is not None:
+        key = record, index
+        counts[key] = counts.get(key, 0) + 1
+        if calib is not None and index is not None:
             if confidence is None:
                 raise MissingConfidence(qid)
             slot = min(int(confidence * calibration_bins), calibration_bins - 1)
             b = calib.bins[slot]
             b.count += 1
             b.confidence_sum += confidence
-            b.correct += int(correct)
+            b.correct += int(index == record.correct_index)
             calib.total += 1
+    abs_err = {kind: 0 for kind in ORDINAL_KINDS}
+    err_n = {kind: 0 for kind in ORDINAL_KINDS}
+    for (record, index), n in counts.items():
+        kind = record.target.kind
+        metric = report.per_kind.setdefault(kind, KindMetrics())
+        metric.count += n
+        if index is None:
+            metric.unparseable += n
+            report.unparseable += n
+            continue
+        if index == record.correct_index:
+            metric.correct += n
+        pred = decode_statement(record.target, record.options[index])
+        if pred is not None:
+            _confusion_for(report, kind)[record.category.label][pred.label] += n
+            if kind in ORDINAL_KINDS:
+                abs_err[kind] += n * abs(ordinal_index(pred) - ordinal_index(record.category))
+                err_n[kind] += n
     if err_n["angle"]:
         report.angle_mae = abs_err["angle"] / err_n["angle"]
     if err_n["distance"]:
@@ -420,15 +441,15 @@ def _average_reports(reports: list[MetricsReport]) -> MetricsReport:
             acc.correct += m.correct / n
             acc.unparseable += m.unparseable / n
         for kind, matrix in report.confusion.items():
-            acc_matrix = out.confusion.setdefault(kind, _empty_confusion(kind))
+            acc_matrix = _confusion_for(out, kind)
             for g, row in matrix.items():
                 for p, v in row.items():
                     acc_matrix[g][p] += v / n
         out.unparseable += report.unparseable / n
     maes = [r.angle_mae for r in reports if r.angle_mae is not None]
     if maes:
-        out.angle_mae = sum(maes) / len(maes)
+        out.angle_mae = _left_sum(maes) / len(maes)
     maes = [r.distance_mae for r in reports if r.distance_mae is not None]
     if maes:
-        out.distance_mae = sum(maes) / len(maes)
+        out.distance_mae = _left_sum(maes) / len(maes)
     return out

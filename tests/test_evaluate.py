@@ -103,6 +103,15 @@ def test_resolve_prediction_per_option_confidences():
     assert resolve_prediction(scalar, options) == (0, 0.75)
 
 
+def test_float_sums_run_left_to_right_from_zero():
+    # `sum()` is compensated from Python 3.12 on and would give 0.5 and
+    # 0.19999999999999998; reports must not depend on the Python version.
+    pred = PredictionRecord("q", option_confidences=(0.1, 0.2, 0.3))
+    assert resolve_prediction(pred, ("one", "two", "three")) == (2, 0.4999999999999999)
+    reports = [evaluate.MetricsReport(angle_mae=mae) for mae in (0.1, 0.2, 0.3)]
+    assert evaluate._average_reports(reports).angle_mae == 0.20000000000000004
+
+
 def test_resolve_prediction_rejects_zero_mass_on_visible_options():
     pred = PredictionRecord("q", option_confidences=(0.0, 0.0, 0.0, 1.0))
     with pytest.raises(ZeroConfidenceMass, match="q"):
@@ -365,23 +374,29 @@ def test_gold_index_keeps_under_512_bytes_per_question(catalog_dataset):
 def test_score_and_baseline_decode_each_gold_record_once(catalog_dataset, monkeypatch):
     index = evaluate._gold_index(catalog_dataset)
     n, records = len(index), len({id(r) for r in index.values()})
-    calls, in_reduce = [], []
-    decode = dataset.decode_statement
-    monkeypatch.setattr(dataset, "decode_statement", lambda *a: calls.append(a) or decode(*a))
+    read_calls, reduce_calls, in_reduce = [], [], []
+    for module, calls in ((dataset, read_calls), (evaluate, reduce_calls)):
+        decode = getattr(module, "decode_statement")
+        monkeypatch.setattr(module, "decode_statement",
+                            lambda *a, calls=calls, decode=decode: calls.append(a) or decode(*a))
     reduce = evaluate._score_resolved
 
-    def counted_reduce(*args):
-        before = len(calls)
-        report = reduce(*args)
-        in_reduce.append(len(calls) - before)
+    def counted_reduce(resolved, *args):
+        resolved = list(resolved)
+        pairs = len({(id(record), index) for _, record, index, _ in resolved})
+        before = len(reduce_calls)
+        report = reduce(resolved, *args)
+        in_reduce.append((len(reduce_calls) - before, pairs))
         return report
 
     monkeypatch.setattr(evaluate, "_score_resolved", counted_reduce)
     random_baseline(catalog_dataset, trials=3)
     # One decode per question read, one per distinct gold record.
-    assert len(calls) <= n + records
+    assert len(read_calls) <= n + records
     score(catalog_dataset, [letter_pred(qid, 0) for qid in index])
-    assert in_reduce == [0, 0, 0, 0]
+    assert len(in_reduce) == 4
+    # Reduce decodes each distinct (record, option index) pair at most once.
+    assert all(decodes <= pairs < n for decodes, pairs in in_reduce)
 
 
 def test_score_keeps_no_copy_of_the_predicted_ids(catalog_dataset):
@@ -423,6 +438,112 @@ def test_score_and_baseline_read_a_path_and_a_list_of_mcq_alike(catalog_dataset)
             == score(mcqs, preds, calibration_bins=10).to_dict())
     assert (random_baseline(catalog_dataset, seed=2, trials=3).to_dict()
             == random_baseline(mcqs, seed=2, trials=3).to_dict())
+
+
+def reference_score_resolved(resolved, calibration_bins=None):
+    """The reduction as a plain per-question loop, kept as a reference."""
+    report = evaluate.MetricsReport()
+    abs_err = {"angle": 0, "distance": 0}
+    err_n = {"angle": 0, "distance": 0}
+    calib = None
+    if calibration_bins is not None:
+        calib = evaluate.CalibrationTable(bins=[
+            evaluate.CalibrationBin(lo=i / calibration_bins, hi=(i + 1) / calibration_bins)
+            for i in range(calibration_bins)])
+    for qid, record, index, confidence in resolved:
+        kind = record.target.kind
+        metric = report.per_kind.setdefault(kind, evaluate.KindMetrics())
+        metric.count += 1
+        if index is None:
+            metric.unparseable += 1
+            report.unparseable += 1
+            continue
+        correct = index == record.correct_index
+        if correct:
+            metric.correct += 1
+        pred = evaluate.decode_statement(record.target, record.options[index])
+        if pred is not None:
+            labels = OPTION_LABELS_BY_KIND[kind]
+            matrix = report.confusion.setdefault(kind, {g: {p: 0 for p in labels} for g in labels})
+            matrix[record.category.label][pred.label] += 1
+            if kind in abs_err:
+                abs_err[kind] += abs(ordinal_index(pred) - ordinal_index(record.category))
+                err_n[kind] += 1
+        if calib is not None:
+            if confidence is None:
+                raise MissingConfidence(qid)
+            slot = min(int(confidence * calibration_bins), calibration_bins - 1)
+            b = calib.bins[slot]
+            b.count += 1
+            b.confidence_sum += confidence
+            b.correct += int(correct)
+            calib.total += 1
+    if err_n["angle"]:
+        report.angle_mae = abs_err["angle"] / err_n["angle"]
+    if err_n["distance"]:
+        report.distance_mae = abs_err["distance"] / err_n["distance"]
+    report.calibration = calib
+    return report
+
+
+def random_records(rng, n):
+    """Shared gold records of n random questions, one target per kind."""
+    gold = []
+    for i in range(n):
+        kind = rng.choice(list(OPTION_LABELS_BY_KIND))
+        gold.append(make_gold(kind, rng.choice(OPTION_LABELS_BY_KIND[kind]), f"g{i}"))
+    return list(evaluate._gold_index(gold).values())
+
+
+def random_stream(rng, records, length, missing_confidence=0.0):
+    stream = []
+    for i in range(length):
+        record = rng.choice(records)
+        index = None if rng.random() < 0.1 else rng.randrange(len(record.options))
+        confidence = None if rng.random() < missing_confidence else rng.random()
+        stream.append((f"q{i}", record, index, confidence))
+    return stream
+
+
+def test_score_resolved_matches_the_per_question_reference():
+    rng = random.Random(17)
+    covered = set()
+    for trial in range(40):
+        records = random_records(rng, rng.randrange(1, 12))
+        # A record whose wrong options state nothing its target can decode.
+        base = rng.choice(records)
+        options = tuple(text if i == base.correct_index else f"no statement {i}"
+                        for i, text in enumerate(base.options))
+        records.append(evaluate._Gold(base.target, options, base.correct_index, base.category))
+        stream = random_stream(rng, records, rng.randrange(1, 300))
+        covered.update(name for name, hit in (
+            ("shared", len({id(r) for _, r, _, _ in stream}) < len(stream)),
+            ("unparseable", any(i is None for _, _, i, _ in stream)),
+            ("undecodable", any(r is records[-1] and i not in (None, r.correct_index)
+                                for _, r, i, _ in stream)),
+        ) if hit)
+        for bins in (None, rng.randrange(1, 12)):
+            got = evaluate._score_resolved(iter(stream), bins).to_dict()
+            want = reference_score_resolved(iter(stream), bins).to_dict()
+            assert json.dumps(got) == json.dumps(want)
+    assert covered == {"shared", "unparseable", "undecodable"}
+
+
+def test_score_resolved_raises_missing_confidence_where_the_reference_does():
+    rng = random.Random(23)
+    raised = 0
+    for trial in range(40):
+        records = random_records(rng, rng.randrange(1, 6))
+        stream = random_stream(rng, records, rng.randrange(1, 60), missing_confidence=0.05)
+        outcomes = []
+        for reduce in (evaluate._score_resolved, reference_score_resolved):
+            try:
+                outcomes.append(json.dumps(reduce(iter(stream), 10).to_dict()))
+            except MissingConfidence as exc:
+                outcomes.append(("MissingConfidence", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        raised += isinstance(outcomes[0], tuple)
+    assert 0 < raised < 40
 
 
 # ------------------------------------------------------------ calibration
