@@ -19,9 +19,10 @@ Every dataset line is the canonical JSON encoding of its record, that of
 `json.dumps(record, sort_keys=True, separators=(",", ":"))`: keys sorted,
 no whitespace, every non-ASCII character escaped as \\uXXXX, floats in
 `repr` spelling (NaN, Infinity and -Infinity as `json` writes them). The
-generator splices question lines from pre-encoded fragments (`_dump_line`)
-instead of calling `json.dumps`, so it must reproduce this encoding byte
-for byte; the tests compare both.
+question line `_dump_line` splices from pre-encoded fragments is the one
+definition of a question: `generate` writes it and `generate_image_mcqs`
+parses it back. `Mcq.to_dict` is the reference encoding the tests compare
+it with byte for byte.
 
 Generation is deterministic for a fixed (manifest, config, version): its one
 draw, `_seeded_shuffle` of each kind's targets and each question's options,
@@ -69,13 +70,20 @@ OPTION_LETTERS = "abcd"
 _SEP = "\x1f"
 
 
+def _digest(*parts, size: int = 64) -> int:
+    """The `size`-byte blake2b digest of `parts`, joined by `_SEP`, read as
+    one big-endian integer: the source of every seeded value."""
+    payload = _SEP.join(map(str, parts)).encode()
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=size).digest(), "big")
+
+
 def _seeded_shuffle(items, *parts) -> list:
     """`items` as a list in the order drawn from `parts`: every random
     choice generation makes. A Fisher-Yates walk takes its swap indices from
-    the 64-byte blake2b digest of the joined parts, read as one integer; for
-    a kind's pool of at most 23 targets the modulo bias is below 2**-437."""
+    the 64-byte `_digest` of the parts; for a kind's pool of at most 23
+    targets the modulo bias is below 2**-437."""
     items = list(items)
-    x = int.from_bytes(hashlib.blake2b(_SEP.join(map(str, parts)).encode()).digest(), "big")
+    x = _digest(*parts)
     for i in range(len(items) - 1, 0, -1):
         x, j = divmod(x, i + 1)
         items[i], items[j] = items[j], items[i]
@@ -87,10 +95,7 @@ def _canonical_json(obj) -> str:
 
 
 def question_id(image_id: str, target: DescriptorTarget) -> str:
-    digest = hashlib.blake2b(
-        f"{image_id}{_SEP}{target.key()}".encode(), digest_size=8
-    )
-    return digest.hexdigest()
+    return f"{_digest(image_id, target.key(), size=8):016x}"
 
 
 def _axis_flips(flips) -> tuple[int, int, int]:
@@ -333,42 +338,24 @@ def normalized_pose_for(record: PoseRecord, cfg: GenerationConfig) -> Normalized
     return normalize_pose(record.raw_pose, flips)
 
 
-@dataclass(frozen=True)
-class _Rendering:
-    """Everything one (target, option order) puts into a question: the
-    Mcq fields and the canonical JSON fragments between its per-question
-    values."""
-
-    options: tuple[str, ...]
-    prompt: str
-    permutation: tuple[int, ...]
-    # ',"kind":...,"options":[...],"prompt":...,"provenance":{"category":'
-    head: str
-    # ',"permutation":[...]'
-    permutation_json: str
-    # '","target":{...}}' after the question_id
-    tail: str
-
-
 # At most 636 entries: 15 angle targets x 4! orders + 23 distance x 3! +
 # 69 relpos x 2!.
 @functools.cache
-def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> _Rendering:
+def _render(target: DescriptorTarget, permutation: tuple[int, ...]) -> tuple[str, str, str]:
+    """The canonical JSON fragments one (target, option order) puts into a
+    question line: ',"kind":...,"options":[...],"prompt":...,"provenance":
+    {"category":', ',"permutation":[...]' and '","target":{...}}' after the
+    question_id."""
     options = options_in_order(target, permutation)
     lines = [PROMPT_QUESTION]
     for i, text in enumerate(options):
         lines.append(f"({OPTION_LETTERS[i]}) {text}")
     prompt = "\n".join(lines)
     target_json = _canonical_json({"object": target.object, "subject": target.subject})
-    return _Rendering(
-        options=options,
-        prompt=prompt,
-        permutation=permutation,
-        head=(f',"kind":{_canonical_json(target.kind)},"options":{_canonical_json(options)}'
-              f',"prompt":{_canonical_json(prompt)},"provenance":{{"category":'),
-        permutation_json=f',"permutation":{_canonical_json(permutation)}',
-        tail=f'","target":{target_json}}}',
-    )
+    return (f',"kind":{_canonical_json(target.kind)},"options":{_canonical_json(options)}'
+            f',"prompt":{_canonical_json(prompt)},"provenance":{{"category":',
+            f',"permutation":{_canonical_json(permutation)}',
+            f'","target":{target_json}}}')
 
 
 # label -> its JSON string, for every option label of every kind
@@ -378,16 +365,16 @@ _LABEL_JSON = {label: _canonical_json(label)
 
 def assemble_mcq(
     image_id: str, target: DescriptorTarget, category: Category, seed
-) -> tuple[_Rendering, int]:
-    """Draw one question's seeded option order: the rendering of that
-    order and the display index of the true option. Raises AlignedTruth
-    for an aligned category, which is never asked."""
+) -> tuple[tuple[int, ...], int]:
+    """Draw one question's seeded option order: the permutation of the
+    kind's labels it displays and the display index of the true option.
+    Raises AlignedTruth for an aligned category, which is never asked."""
     if category.is_aligned:
         raise AlignedTruth(f"{target.key()} truth is aligned")
     labels = OPTION_LABELS_BY_KIND[target.kind]
     permutation = tuple(_seeded_shuffle(range(len(labels)),
                                         seed, image_id, "options", target.key()))
-    return _render(target, permutation), permutation.index(labels.index(category.label))
+    return permutation, permutation.index(labels.index(category.label))
 
 
 def measure(
@@ -442,34 +429,6 @@ def _sample_targets(
     return pose.mode, picks, skips
 
 
-def generate_image_mcqs(
-    record: PoseRecord, cfg: GenerationConfig
-) -> tuple[list[Mcq], list[SkipNote]]:
-    """All MCQs for one image: per kind, a seeded uniform sample of distinct
-    catalog targets, each with its seeded option order. These are the
-    questions `generate_dataset` writes for the record; per_type_samples=23
-    asks every catalog target.
-
-    Aligned relative-position truths and degenerate targets never become
-    questions; with resample_on_aligned they are replaced by further draws
-    until the budget is met or the kind's catalog is exhausted (which adds a
-    pool_exhausted note). A degenerate pose skips the whole image, one note
-    per kind, without raising.
-    """
-    image_id = record.image_id
-    norm_mode, picks, skips = _sample_targets(record, cfg)
-    threshold_config_id = cfg.thresholds.config_id()
-    mcqs = []
-    for target, value, category in picks:
-        rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
-        provenance = {"continuous_value": value, "category": category.label,
-                      "threshold_config_id": threshold_config_id, "seed": cfg.seed,
-                      "permutation": list(rendering.permutation), "norm_mode": norm_mode}
-        mcqs.append(Mcq(question_id(image_id, target), image_id, target, rendering.prompt,
-                        rendering.options, correct_index, provenance))
-    return mcqs, skips
-
-
 def _float_json(value: float) -> str:
     """A float as `json.dumps` spells it."""
     if math.isfinite(value):
@@ -480,7 +439,8 @@ def _float_json(value: float) -> str:
 
 
 def _dump_line(
-    rendering: _Rendering,
+    target: DescriptorTarget,
+    permutation: tuple[int, ...],
     correct_index: int,
     category: Category,
     value: float,
@@ -489,19 +449,63 @@ def _dump_line(
     norm_json: str,
     run_json: str,
 ) -> str:
-    """One question line, spliced to equal the canonical encoding of its
-    `Mcq.to_dict()` (see the module docstring)."""
-    return (f'{{"correct_index":{correct_index},"image_id":{image_json}{rendering.head}'
+    """One question line: the one definition of a question, spliced from
+    `_render`'s cached fragments to equal the canonical encoding of its
+    `Mcq.to_dict()`, the reference the tests compare it with (see the
+    module docstring)."""
+    head, permutation_json, tail = _render(target, permutation)
+    return (f'{{"correct_index":{correct_index},"image_id":{image_json}{head}'
             f'{_LABEL_JSON[category.label]},"continuous_value":{_float_json(value)}'
-            f'{norm_json}{rendering.permutation_json}{run_json}{qid}{rendering.tail}\n')
+            f'{norm_json}{permutation_json}{run_json}{qid}{tail}\n')
+
+
+def _run_json(cfg: GenerationConfig) -> str:
+    """The fragment every question line of a run shares:
+    ',"seed":...,"threshold_config_id":...},"question_id":"'."""
+    return (f',"seed":{_canonical_json(cfg.seed)},"threshold_config_id":'
+            f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
+
+
+def _image_lines(record: PoseRecord, cfg: GenerationConfig, run_json: str
+                 ) -> tuple[list[str], list[str], list[SkipNote]]:
+    """One image's question lines, the kind of each, and its skip notes.
+    `run_json` is `_run_json(cfg)`."""
+    image_id = record.image_id
+    norm_mode, picks, skips = _sample_targets(record, cfg)
+    image_json = _canonical_json(image_id)
+    norm_json = f',"norm_mode":{_canonical_json(norm_mode)}'
+    lines = []
+    for target, value, category in picks:
+        permutation, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
+        lines.append(_dump_line(target, permutation, correct_index, category, value,
+                                question_id(image_id, target), image_json, norm_json,
+                                run_json))
+    return lines, [target.kind for target, _, _ in picks], skips
+
+
+def generate_image_mcqs(
+    record: PoseRecord, cfg: GenerationConfig
+) -> tuple[list[Mcq], list[SkipNote]]:
+    """All MCQs for one image: per kind, a seeded uniform sample of distinct
+    catalog targets, each with its seeded option order. These are the lines
+    `generate_dataset` writes for the record, parsed back, so the two cannot
+    disagree; per_type_samples=23 asks every catalog target.
+
+    Aligned relative-position truths and degenerate targets never become
+    questions; with resample_on_aligned they are replaced by further draws
+    until the budget is met or the kind's catalog is exhausted (which adds a
+    pool_exhausted note). A degenerate pose skips the whole image, one note
+    per kind, without raising.
+    """
+    lines, _, skips = _image_lines(record, cfg, _run_json(cfg))
+    return [Mcq.from_dict(json.loads(line)) for line in lines], skips
 
 
 def _generate_lines(cfg: GenerationConfig, run_json: str, numbered_line: tuple[int, str]
                     ) -> tuple[int, str, str, list[str], list[str]] | ParseError:
     """Worker body: parse one `_jsonl_lines` manifest line and return its
     line number, image id and output lines, joined, plus the kinds emitted
-    and the skip reasons. `run_json` is the run-wide fragment
-    ',"seed":...,"threshold_config_id":...},"question_id":"'.
+    and the skip reasons. `run_json` is `_run_json(cfg)`.
 
     A malformed line's ParseError is returned, not raised: a raise fails
     the worker's whole chunk, and the lines before it in that chunk would
@@ -511,18 +515,8 @@ def _generate_lines(cfg: GenerationConfig, run_json: str, numbered_line: tuple[i
         record = _parse_manifest_line(line_no, _parse_jsonl_line(line_no, line))
     except ParseError as e:
         return e
-    image_id = record.image_id
-    norm_mode, picks, skips = _sample_targets(record, cfg)
-    image_json = _canonical_json(image_id)
-    norm_json = f',"norm_mode":{_canonical_json(norm_mode)}'
-    lines = []
-    for target, value, category in picks:
-        rendering, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
-        lines.append(_dump_line(rendering, correct_index, category, value,
-                                question_id(image_id, target), image_json, norm_json,
-                                run_json))
-    return (line_no, image_id, "".join(lines), [target.kind for target, _, _ in picks],
-            [s.reason for s in skips])
+    lines, kinds, skips = _image_lines(record, cfg, run_json)
+    return line_no, record.image_id, "".join(lines), kinds, [s.reason for s in skips]
 
 
 def dataset_header(cfg: GenerationConfig) -> dict:
@@ -557,9 +551,7 @@ def generate_dataset(
         raise OSError(f"{out_path}: output is not a regular file")
     summary = GenerationSummary(mcqs_by_kind={k: 0 for k in KINDS})
     skip_counts: Counter = Counter()
-    run_json = (f',"seed":{_canonical_json(cfg.seed)},"threshold_config_id":'
-                f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
-    work = functools.partial(_generate_lines, cfg, run_json)
+    work = functools.partial(_generate_lines, cfg, _run_json(cfg))
     lines = _jsonl_lines(manifest_path)
     seen: set[str] = set()
     tmp_path = f"{out_path}.{os.getpid()}.tmp"

@@ -11,14 +11,13 @@ and are tallied separately.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .dataset import _SEP, OPTION_LETTERS, iter_dataset, read_jsonl
+from .dataset import OPTION_LETTERS, _digest, iter_dataset, read_jsonl
 from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category, _is_number
 from .errors import (
     DuplicatePrediction,
@@ -33,12 +32,6 @@ from .skeleton import KINDS, DescriptorTarget
 from .textgen import decode_statement
 
 ORDINAL_KINDS = ("angle", "distance")
-
-
-def _stable_u64(*parts) -> int:
-    """Platform-stable 64-bit seed from heterogeneous parts."""
-    payload = _SEP.join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
 def _left_sum(values: Iterable[float]) -> float:
@@ -422,7 +415,7 @@ def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
     index = _gold_index(gold)
     reports = []
     for trial in range(trials):
-        rng = random.Random(_stable_u64("baseline", seed, trial))
+        rng = random.Random(_digest("baseline", seed, trial, size=8))
         reports.append(_score_resolved(
             (qid, record, rng.randrange(len(record.options)), None)
             for qid, record in index.items()))

@@ -32,13 +32,10 @@ _SLOT_PHRASE = {
 
 # index -> (finger, slot); wrist handled separately
 _JOINT_INFO: dict[int, tuple[str, str]] = {}
-_JOINT_BY_NAME: dict[str, int] = {"wrist": WRIST}
 for _f, _finger in enumerate(FINGERS):
     _slots = _THUMB_SLOTS if _finger == "thumb" else _FINGER_SLOTS
     for _s, _slot in enumerate(_slots):
-        _idx = 1 + 4 * _f + _s
-        _JOINT_INFO[_idx] = (_finger, _slot)
-        _JOINT_BY_NAME[f"{_finger}_{_slot}"] = _idx
+        _JOINT_INFO[1 + 4 * _f + _s] = (_finger, _slot)
 
 JOINT_NAMES = tuple(
     "wrist" if i == WRIST else f"{_JOINT_INFO[i][0]}_{_JOINT_INFO[i][1]}"
@@ -47,22 +44,6 @@ JOINT_NAMES = tuple(
 
 KINDS = ("angle", "distance", "relpos_x", "relpos_y", "relpos_z")
 PAIR_KINDS = ("distance", "relpos_x", "relpos_y", "relpos_z")
-
-
-def joint_index(name: str) -> int:
-    """Resolve a short joint name like 'index_pip' to its canonical index."""
-    try:
-        return _JOINT_BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"unknown joint name {name!r}") from None
-
-
-def finger_of(j: int) -> str | None:
-    """Finger a joint belongs to, or None for the wrist."""
-    _check_joint(j)
-    if j == WRIST:
-        return None
-    return _JOINT_INFO[j][0]
 
 
 def joint_display_name(j: int) -> str:
@@ -130,8 +111,7 @@ class DescriptorTarget:
         return f"{self.kind}:{self.subject}-{self.object}"
 
 
-def _j(name: str) -> int:
-    return _JOINT_BY_NAME[name]
+_j = JOINT_NAMES.index
 
 
 # The 15 joints with a bending angle, in catalog order.

@@ -5,7 +5,9 @@ Every question line is the canonical encoding of `Mcq.to_dict()`:
 and `repr` floats. The generator splices lines from cached fragments, so
 these tests pin whole-file digests (taken from the reference encoder) and
 compare every emitted line with that encoding of the `Mcq` the library API
-builds for the same record.
+builds for the same record. The library parses back the generator's lines,
+so a last test derives every field of those records again from the pose,
+the config and the text templates, without the generator's own code.
 """
 import hashlib
 import json
@@ -16,12 +18,17 @@ import pytest
 
 from conftest import aligned_free_joints, random_joints
 from handmcq.dataset import (
+    PROMPT_QUESTION,
     GenerationConfig,
     generate_dataset,
     generate_image_mcqs,
     load_manifest,
+    normalized_pose_for,
 )
-from handmcq.discretize import ThresholdConfig
+from handmcq.discretize import OPTION_LABELS_BY_KIND, ThresholdConfig, categorize
+from handmcq.geometry import descriptor_value
+from handmcq.skeleton import target_from_fields
+from handmcq.textgen import decode_statement
 
 ODD_IDS = ("héllo✋", 'quo"te', "back\\slash", "new\nline", "hand\U0001f590\ttab")
 
@@ -137,3 +144,45 @@ def test_nonfinite_value_uses_json_spelling():
     for value in (0.1, -0.0, 1e-300, 2.5e22, 180.0, np.float64(0.3),
                   float("nan"), float("inf"), float("-inf")):
         assert _float_json(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_library_records_match_an_independent_derivation(tmp_path, name):
+    records, cfg = CASES[name]
+    manifest = tmp_path / "m.jsonl"
+    _write_manifest(manifest, records)
+    asked = 0
+    for record in load_manifest(manifest):
+        mcqs, _ = generate_image_mcqs(record, cfg)
+        if not mcqs:
+            continue
+        pose = normalized_pose_for(record, cfg)
+        for mcq in mcqs:
+            target = mcq.target
+            assert target_from_fields(target.kind, target.subject, target.object) is target
+            value = descriptor_value(pose, target)
+            category = categorize(target.kind, value, cfg.thresholds)
+            labels = OPTION_LABELS_BY_KIND[target.kind]
+            permutation = [labels.index(decode_statement(target, text).label)
+                           for text in mcq.options]
+            assert sorted(permutation) == list(range(len(labels)))
+            prompt = "\n".join([PROMPT_QUESTION, *(f"({letter}) {text}" for letter, text
+                                                   in zip("abcd", mcq.options))])
+            qid = hashlib.blake2b(f"{record.image_id}\x1f{target.key()}".encode(),
+                                  digest_size=8).hexdigest()
+            assert mcq.to_dict() == {
+                "question_id": qid,
+                "image_id": record.image_id,
+                "kind": target.kind,
+                "target": {"subject": target.subject, "object": target.object},
+                "prompt": prompt,
+                "options": list(mcq.options),
+                "correct_index": permutation.index(labels.index(category.label)),
+                "provenance": {"continuous_value": value, "category": category.label,
+                               "threshold_config_id": cfg.thresholds.config_id(),
+                               "seed": cfg.seed, "permutation": permutation,
+                               "norm_mode": pose.mode},
+            }
+            assert mcq.category == category
+            asked += 1
+    assert asked

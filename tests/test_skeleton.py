@@ -4,6 +4,7 @@ from handmcq.errors import NotAnAngleJoint
 from handmcq.skeleton import (
     ANGLE_JOINTS,
     FINGERS,
+    JOINT_NAMES,
     JOINT_PAIRS,
     KINDS,
     NUM_JOINTS,
@@ -11,11 +12,13 @@ from handmcq.skeleton import (
     angle_triplet,
     catalog,
     catalog_all,
-    finger_of,
     joint_display_name,
-    joint_index,
     target_from_fields,
 )
+
+
+def finger_of(j):
+    return None if j == WRIST else JOINT_NAMES[j].split("_")[0]
 
 
 def test_catalog_cardinalities():
@@ -32,10 +35,10 @@ def test_catalog_unknown_kind():
 
 
 def test_display_name_examples():
-    assert joint_display_name(joint_index("middle_dip")) == (
+    assert joint_display_name(JOINT_NAMES.index("middle_dip")) == (
         "distal interphalangeal joint of the middle finger"
     )
-    assert joint_display_name(joint_index("thumb_tip")) == "tip joint of the thumb"
+    assert joint_display_name(JOINT_NAMES.index("thumb_tip")) == "tip joint of the thumb"
     assert joint_display_name(WRIST) == "wrist"
 
 
@@ -45,28 +48,28 @@ def test_display_names_injective():
 
 
 def test_angle_triplet_examples():
-    t = angle_triplet(joint_index("index_pip"))
+    t = angle_triplet(JOINT_NAMES.index("index_pip"))
     assert (t.prev, t.center, t.next) == (
-        joint_index("index_mcp"),
-        joint_index("index_pip"),
-        joint_index("index_dip"),
+        JOINT_NAMES.index("index_mcp"),
+        JOINT_NAMES.index("index_pip"),
+        JOINT_NAMES.index("index_dip"),
     )
-    t = angle_triplet(joint_index("thumb_cmc"))
+    t = angle_triplet(JOINT_NAMES.index("thumb_cmc"))
     assert (t.prev, t.center, t.next) == (
         WRIST,
-        joint_index("thumb_cmc"),
-        joint_index("thumb_mcp"),
+        JOINT_NAMES.index("thumb_cmc"),
+        JOINT_NAMES.index("thumb_mcp"),
     )
 
 
 def test_angle_triplet_rejects_tips_and_wrist():
     with pytest.raises(NotAnAngleJoint):
-        angle_triplet(joint_index("index_tip"))
+        angle_triplet(JOINT_NAMES.index("index_tip"))
     with pytest.raises(NotAnAngleJoint):
         angle_triplet(WRIST)
     for finger in FINGERS:
         with pytest.raises(NotAnAngleJoint):
-            angle_triplet(joint_index(f"{finger}_tip"))
+            angle_triplet(JOINT_NAMES.index(f"{finger}_tip"))
 
 
 def test_angle_triplet_chain_structure():
@@ -80,18 +83,18 @@ def test_angle_triplet_chain_structure():
 
 
 def test_angle_catalog_order_matches_fixed_table():
-    assert catalog("angle")[0].subject == joint_index("thumb_mcp")
-    assert catalog("angle")[1].subject == joint_index("index_pip")
-    assert catalog("angle")[-1].subject == joint_index("thumb_cmc")
+    assert catalog("angle")[0].subject == JOINT_NAMES.index("thumb_mcp")
+    assert catalog("angle")[1].subject == JOINT_NAMES.index("index_pip")
+    assert catalog("angle")[-1].subject == JOINT_NAMES.index("thumb_cmc")
     assert [t.subject for t in catalog("angle")].count(WRIST) == 0
 
 
 def test_pair_catalog_contents():
     pairs = JOINT_PAIRS
-    assert pairs[0] == (joint_index("thumb_mcp"), joint_index("index_pip"))
+    assert pairs[0] == (JOINT_NAMES.index("thumb_mcp"), JOINT_NAMES.index("index_pip"))
     # the one same-finger pair in the table
-    assert pairs[16] == (joint_index("index_mcp"), joint_index("index_dip"))
-    assert pairs[-1] == (joint_index("index_tip"), joint_index("ring_tip"))
+    assert pairs[16] == (JOINT_NAMES.index("index_mcp"), JOINT_NAMES.index("index_dip"))
+    assert pairs[-1] == (JOINT_NAMES.index("index_tip"), JOINT_NAMES.index("ring_tip"))
     assert len(set(pairs)) == 23
     for a, b in pairs:
         assert a != b
@@ -104,7 +107,7 @@ def test_pair_catalog_finger_structure():
     same_finger = [
         (a, b) for a, b in JOINT_PAIRS if finger_of(a) == finger_of(b)
     ]
-    assert same_finger == [(joint_index("index_mcp"), joint_index("index_dip"))]
+    assert same_finger == [(JOINT_NAMES.index("index_mcp"), JOINT_NAMES.index("index_dip"))]
     order = {f: i for i, f in enumerate(FINGERS)}
     non_adjacent = [
         (a, b)
@@ -115,8 +118,8 @@ def test_pair_catalog_finger_structure():
     ]
     assert sorted(non_adjacent) == sorted(
         [
-            (joint_index("middle_tip"), joint_index("little_tip")),
-            (joint_index("index_tip"), joint_index("ring_tip")),
+            (JOINT_NAMES.index("middle_tip"), JOINT_NAMES.index("little_tip")),
+            (JOINT_NAMES.index("index_tip"), JOINT_NAMES.index("ring_tip")),
         ]
     )
 
@@ -140,7 +143,7 @@ def test_target_from_fields_round_trip():
     with pytest.raises(KeyError):
         target_from_fields("distance", 0, 1)  # wrist pairs are not in the catalog
     with pytest.raises(KeyError):
-        target_from_fields("angle", joint_index("index_tip"), None)
+        target_from_fields("angle", JOINT_NAMES.index("index_tip"), None)
 
 
 def test_target_from_fields_returns_the_catalog_instance():
@@ -160,7 +163,3 @@ def test_target_from_fields_rejects_joints_that_are_not_ints(subject, obj):
     with pytest.raises(KeyError):
         target_from_fields(kind, subject, obj)
 
-
-def test_joint_index_unknown_name():
-    with pytest.raises(KeyError):
-        joint_index("pinky_tip")

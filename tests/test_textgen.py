@@ -5,19 +5,20 @@ import pytest
 from handmcq.dataset import assemble_mcq
 from handmcq.discretize import ALIGNED, OPTION_LABELS_BY_KIND, Category
 from handmcq.errors import AlignedTruth
-from handmcq.skeleton import DescriptorTarget, catalog, joint_index
-from handmcq.textgen import decode_statement, render_statement
+from handmcq.skeleton import JOINT_NAMES, DescriptorTarget, catalog
+from handmcq.textgen import decode_statement, options_in_order, render_statement
 
 Options = namedtuple("Options", "options correct_index permutation")
 
 
 def target_of(kind, subject, obj=None):
-    return DescriptorTarget(kind, joint_index(subject), None if obj is None else joint_index(obj))
+    index = JOINT_NAMES.index
+    return DescriptorTarget(kind, index(subject), None if obj is None else index(obj))
 
 
 def draw_options(target, truth, seed):
-    rendering, correct_index = assemble_mcq("img", target, truth, seed)
-    return Options(rendering.options, correct_index, rendering.permutation)
+    permutation, correct_index = assemble_mcq("img", target, truth, seed)
+    return Options(options_in_order(target, permutation), correct_index, permutation)
 
 
 def test_render_pair_worked_example():
