@@ -12,6 +12,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from .dataset import (
     generate_dataset,
     label_stats,
 )
-from .discretize import OPTION_LABELS_BY_KIND, ThresholdConfig
+from .discretize import OPTION_LABELS_BY_KIND
 from .errors import HandMcqError, ParseError
 from .evaluate import load_predictions, random_baseline, score
 from .oracle import validate_dataset
@@ -140,10 +141,11 @@ def _cmd_validate(args) -> int:
     thresholds = None
     if args.config:
         loaded = _load_config_object(args.config)
-        if "thresholds" in loaded:
-            thresholds = GenerationConfig.from_dict(loaded).thresholds
-        else:
-            thresholds = ThresholdConfig.from_dict(loaded)
+        # An object that shares no key with a generation config is a bare
+        # thresholds object.
+        if loaded.keys().isdisjoint(f.name for f in dataclasses.fields(GenerationConfig)):
+            loaded = {"thresholds": loaded}
+        thresholds = GenerationConfig.from_dict(loaded).thresholds
     report = validate_dataset(args.manifest, args.dataset, thresholds=thresholds)
     print(f"questions: {report.total}  mismatches: {len(report.mismatches)}  "
           f"skipped: {len(report.skipped)}")
@@ -232,15 +234,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as e:
+    # a malformed input line, or a bad config value (out-of-range samples,
+    # malformed threshold JSON)
+    except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except HandMcqError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
-        # bad config values (out-of-range samples, malformed threshold JSON)
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

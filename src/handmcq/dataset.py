@@ -144,6 +144,10 @@ class GenerationConfig:
     resample_on_aligned: bool = True
 
     def __post_init__(self):
+        # Equal configs must spell equally: `_run_json` is cached on the
+        # config, and True == 1 == 1.0 would share one entry.
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         max_pool = max(len(catalog(k)) for k in KINDS)
         if not 1 <= self.per_type_samples <= max_pool:
             raise ValueError(f"per_type_samples must be in [1, {max_pool}]")
@@ -392,43 +396,6 @@ def measure(
     return value, category
 
 
-def _sample_targets(
-    record: PoseRecord, cfg: GenerationConfig
-) -> tuple[str | None, list[tuple[DescriptorTarget, float, Category]], list[SkipNote]]:
-    """One image's seeded selection: the normalization mode (None for a
-    degenerate pose), the (target, value, category) of each question in
-    emit order, and the skip notes. See `generate_image_mcqs`."""
-    picks: list[tuple[DescriptorTarget, float, Category]] = []
-    skips: list[SkipNote] = []
-    try:
-        pose = normalized_pose_for(record, cfg)
-    except DegeneratePose as e:
-        for kind in KINDS:
-            skips.append(SkipNote(record.image_id, kind, None, "degenerate_pose", str(e)))
-        return None, picks, skips
-    for kind in KINDS:
-        pool = _seeded_shuffle(catalog(kind), cfg.seed, record.image_id, "sample", kind)
-        budget = min(cfg.per_type_samples, len(pool))
-        if not cfg.resample_on_aligned:
-            pool = pool[:budget]
-        emitted = 0
-        for target in pool:
-            if emitted == budget:
-                break
-            measured = measure(record.image_id, pose, target, cfg.thresholds)
-            if isinstance(measured, SkipNote):
-                skips.append(measured)
-                continue
-            picks.append((target, *measured))
-            emitted += 1
-        if cfg.resample_on_aligned and emitted < budget:
-            skips.append(
-                SkipNote(record.image_id, kind, None, "pool_exhausted",
-                         f"emitted {emitted} of {budget}")
-            )
-    return pose.mode, picks, skips
-
-
 def _float_json(value: float) -> str:
     """A float as `json.dumps` spells it."""
     if math.isfinite(value):
@@ -459,6 +426,9 @@ def _dump_line(
             f'{norm_json}{permutation_json}{run_json}{qid}{tail}\n')
 
 
+# One entry per config a process generates with: a lookup only hashes the
+# config, where `config_id` runs `asdict`, `json.dumps` and blake2b.
+@functools.cache
 def _run_json(cfg: GenerationConfig) -> str:
     """The fragment every question line of a run shares:
     ',"seed":...,"threshold_config_id":...},"question_id":"'."""
@@ -466,21 +436,47 @@ def _run_json(cfg: GenerationConfig) -> str:
             f'{_canonical_json(cfg.thresholds.config_id())}}},"question_id":"')
 
 
-def _image_lines(record: PoseRecord, cfg: GenerationConfig, run_json: str
+def _image_lines(record: PoseRecord, cfg: GenerationConfig
                  ) -> tuple[list[str], list[str], list[SkipNote]]:
-    """One image's question lines, the kind of each, and its skip notes.
-    `run_json` is `_run_json(cfg)`."""
+    """One image's question lines, the kind of each, and its skip notes:
+    the seeded selection `generate_image_mcqs` describes, each pick measured
+    and written as it is drawn."""
     image_id = record.image_id
-    norm_mode, picks, skips = _sample_targets(record, cfg)
+    try:
+        pose = normalized_pose_for(record, cfg)
+    except DegeneratePose as e:
+        return [], [], [SkipNote(image_id, kind, None, "degenerate_pose", str(e))
+                        for kind in KINDS]
     image_json = _canonical_json(image_id)
-    norm_json = f',"norm_mode":{_canonical_json(norm_mode)}'
-    lines = []
-    for target, value, category in picks:
-        permutation, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
-        lines.append(_dump_line(target, permutation, correct_index, category, value,
-                                question_id(image_id, target), image_json, norm_json,
-                                run_json))
-    return lines, [target.kind for target, _, _ in picks], skips
+    norm_json = f',"norm_mode":{_canonical_json(pose.mode)}'
+    run_json = _run_json(cfg)
+    lines: list[str] = []
+    kinds: list[str] = []
+    skips: list[SkipNote] = []
+    for kind in KINDS:
+        pool = _seeded_shuffle(catalog(kind), cfg.seed, image_id, "sample", kind)
+        budget = min(cfg.per_type_samples, len(pool))
+        if not cfg.resample_on_aligned:
+            pool = pool[:budget]
+        emitted = 0
+        for target in pool:
+            if emitted == budget:
+                break
+            measured = measure(image_id, pose, target, cfg.thresholds)
+            if isinstance(measured, SkipNote):
+                skips.append(measured)
+                continue
+            value, category = measured
+            permutation, correct_index = assemble_mcq(image_id, target, category, cfg.seed)
+            lines.append(_dump_line(target, permutation, correct_index, category, value,
+                                    question_id(image_id, target), image_json, norm_json,
+                                    run_json))
+            emitted += 1
+        kinds += [kind] * emitted
+        if cfg.resample_on_aligned and emitted < budget:
+            skips.append(SkipNote(image_id, kind, None, "pool_exhausted",
+                                  f"emitted {emitted} of {budget}"))
+    return lines, kinds, skips
 
 
 def generate_image_mcqs(
@@ -497,15 +493,15 @@ def generate_image_mcqs(
     pool_exhausted note). A degenerate pose skips the whole image, one note
     per kind, without raising.
     """
-    lines, _, skips = _image_lines(record, cfg, _run_json(cfg))
+    lines, _, skips = _image_lines(record, cfg)
     return [Mcq.from_dict(json.loads(line)) for line in lines], skips
 
 
-def _generate_lines(cfg: GenerationConfig, run_json: str, numbered_line: tuple[int, str]
+def _generate_lines(cfg: GenerationConfig, numbered_line: tuple[int, str]
                     ) -> tuple[int, str, str, list[str], list[str]] | ParseError:
     """Worker body: parse one `_jsonl_lines` manifest line and return its
     line number, image id and output lines, joined, plus the kinds emitted
-    and the skip reasons. `run_json` is `_run_json(cfg)`.
+    and the skip reasons.
 
     A malformed line's ParseError is returned, not raised: a raise fails
     the worker's whole chunk, and the lines before it in that chunk would
@@ -515,7 +511,7 @@ def _generate_lines(cfg: GenerationConfig, run_json: str, numbered_line: tuple[i
         record = _parse_manifest_line(line_no, _parse_jsonl_line(line_no, line))
     except ParseError as e:
         return e
-    lines, kinds, skips = _image_lines(record, cfg, run_json)
+    lines, kinds, skips = _image_lines(record, cfg)
     return line_no, record.image_id, "".join(lines), kinds, [s.reason for s in skips]
 
 
@@ -549,9 +545,9 @@ def generate_dataset(
     out_path = os.fspath(out_path)
     if os.path.exists(out_path) and not os.path.isfile(out_path):
         raise OSError(f"{out_path}: output is not a regular file")
-    summary = GenerationSummary(mcqs_by_kind={k: 0 for k in KINDS})
+    kind_counts: Counter = Counter()
     skip_counts: Counter = Counter()
-    work = functools.partial(_generate_lines, cfg, _run_json(cfg))
+    work = functools.partial(_generate_lines, cfg)
     lines = _jsonl_lines(manifest_path)
     seen: set[str] = set()
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
@@ -566,17 +562,14 @@ def generate_dataset(
                 line_no, image_id, text, kinds, skip_reasons = result
                 _check_new_image_id(seen, image_id, line_no)
                 out.write(text)
-                for kind in kinds:
-                    summary.mcqs_by_kind[kind] += 1
+                kind_counts.update(kinds)
                 skip_counts.update(skip_reasons)
-                summary.images += 1
         os.replace(tmp_path, out_path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp_path)
         raise
-    summary.skips = dict(skip_counts)
-    return summary
+    return GenerationSummary(len(seen), {k: kind_counts[k] for k in KINDS}, dict(skip_counts))
 
 
 def _read_header(records: Iterator[tuple[int, dict]]) -> GenerationConfig:

@@ -95,8 +95,11 @@ class ThresholdConfig:
     relpos_band: float = 0.15
 
     def __post_init__(self):
-        object.__setattr__(self, "angle_cuts", tuple(float(c) for c in self.angle_cuts))
-        object.__setattr__(self, "distance_cuts", tuple(float(c) for c in self.distance_cuts))
+        # `+ 0.0` spells a -0.0 cut as 0.0, which it equals: equal configs
+        # must share one config_id.
+        object.__setattr__(self, "angle_cuts", tuple(float(c) + 0.0 for c in self.angle_cuts))
+        object.__setattr__(self, "distance_cuts",
+                           tuple(float(c) + 0.0 for c in self.distance_cuts))
         object.__setattr__(self, "relpos_band", float(self.relpos_band))
         if len(self.angle_cuts) != 3 or len(self.distance_cuts) != 2:
             raise ValueError("angle_cuts needs 3 cuts and distance_cuts 2")

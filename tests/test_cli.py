@@ -169,12 +169,16 @@ def test_validate_with_threshold_config(tmp_path, manifest, capsys):
     dataset = tmp_path / "d.jsonl"
     run("generate", "--manifest", manifest, "--out", dataset, "--seed", 1)
     config = tmp_path / "thresholds.json"
-    config.write_text(json.dumps({"thresholds": {"angle_cuts": [30.0, 90.0, 120.0]}}))
-    capsys.readouterr()
-    code = run("validate", "--manifest", manifest, "--dataset", dataset, "--config", config)
-    out = capsys.readouterr().out
-    assert code in (0, 4)  # shifted cuts usually flip something
-    assert "questions: 150" in out
+    for payload, codes in [
+        ({"thresholds": {"angle_cuts": [30.0, 90.0, 120.0]}}, (0, 4)),  # shifted cuts usually flip
+        ({"seed": 0, "per_type_samples": 5}, (0,)),  # any config `generate` accepts
+    ]:
+        config.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run("validate", "--manifest", manifest, "--dataset", dataset, "--config", config)
+        out = capsys.readouterr().out
+        assert code in codes
+        assert "questions: 150" in out
 
 
 def test_parse_answer_reexported_for_harnesses():
@@ -364,12 +368,13 @@ def test_score_rejects_confidences_without_mass_on_the_options(tmp_path, gold, c
     ("validate", b'{"relpos_band": 0.2\xff}', "cfg.json: 'utf-8' codec can't decode byte 0xff"),
     ("validate", b"{'relpos_band': 0.2}", "cfg.json: Expecting property name"),
     ("generate", b"[" * 100_000, "cfg.json: maximum recursion depth exceeded"),
+    ("generate", {"thresholds": {"angle_cuts": [100, 150]}}, "angle_cuts needs 3 cuts"),
 ], ids=["typo_key", "string_bool", "top_level_list", "null_samples", "int_thresholds",
         "int_axis_flips", "bool_seed", "string_cuts", "typo_threshold_key", "nan_band", "inf_cut",
         "validate_top_level_list", "validate_int_thresholds", "validate_string_band",
         "validate_typo_key_beside_thresholds", "validate_string_seed_beside_thresholds",
         "not_utf8", "invalid_json", "validate_not_utf8", "validate_invalid_json",
-        "deep_nesting"])
+        "deep_nesting", "two_angle_cuts"])
 def test_bad_config_exits_3(tmp_path, manifest, capsys, command, config, named):
     config_path = tmp_path / "cfg.json"
     if isinstance(config, bytes):

@@ -24,6 +24,7 @@ from handmcq.dataset import (
     Mcq,
     PoseRecord,
     SkipNote,
+    dataset_header,
     generate_dataset,
     generate_image_mcqs,
     iter_dataset,
@@ -338,8 +339,23 @@ def test_generation_config_validation():
         GenerationConfig(per_type_samples=24)
     with pytest.raises(ValueError):
         GenerationConfig(axis_flips=(2, 1, 1))
+    for seed in (True, 1.0, "1"):  # each equals or spells like the int 1
+        with pytest.raises(ValueError, match="seed"):
+            GenerationConfig(seed=seed)
     cfg = GenerationConfig.from_dict(GenerationConfig(seed=3).to_dict())
     assert cfg == GenerationConfig(seed=3)
+
+
+def test_equal_configs_write_equal_run_fragments():
+    # The run-wide part of a question line is cached per config, so each
+    # run's lines must carry its own header's threshold_config_id even
+    # after an equal config spelled another way ran in the same process.
+    record = make_record(aligned_free_joints(random.Random(3)))
+    for cuts in [(0.0, 150.0, 170.0), (-0.0, 150.0, 170.0)]:
+        cfg = GenerationConfig(thresholds=ThresholdConfig(angle_cuts=cuts))
+        mcqs, _ = generate_image_mcqs(record, cfg)
+        assert {m.provenance["threshold_config_id"] for m in mcqs} == {
+            dataset_header(cfg)["__header__"]["threshold_config_id"]}
 
 
 @pytest.mark.parametrize("flips", [(), (1, -1), (1, 1, 1, 1), (1.0, 1, 1)])

@@ -8,7 +8,7 @@ import pytest
 
 import handmcq.dataset
 import handmcq.oracle
-from conftest import aligned_free_joints, random_joints, synthetic_manifest
+from conftest import aligned_free_joints, random_joints, synthetic_manifest, write_manifest
 from handmcq.dataset import (
     GenerationConfig,
     Mcq,
@@ -92,7 +92,7 @@ def test_answer_aligned_truth():
 def test_oracle_shares_no_generator_code():
     # The oracle checks the generator, so it must not select or assemble
     # questions with the generator's own code.
-    generator_names = {"measure", "build_mcqs", "SkipNote", "_sample_targets",
+    generator_names = {"measure", "build_mcqs", "SkipNote", "_image_lines",
                        "assemble_mcq", "generate_image_mcqs", "_seeded_shuffle"}
     assert generator_names.isdisjoint(vars(handmcq.oracle))
 
@@ -256,6 +256,26 @@ def test_validate_decodes_each_stored_answer_once(tmp_path, monkeypatch):
     report = validate_dataset(manifest, dataset, thresholds=shifted)
     assert report.mismatches
     assert len(calls) == report.total + len(report.mismatches)
+
+
+def test_validate_skips_degenerate_pose_and_bone(tmp_path):
+    # Generate from five random poses, then replay against a manifest in
+    # which img0 collapses to one point and img1's joint 2 sits on joint 1.
+    rng = random.Random(53)
+    joints = {f"img{i}": random_joints(rng) for i in range(5)}
+    manifest, dataset = tmp_path / "m.jsonl", tmp_path / "d.jsonl"
+    write_manifest(manifest, joints)
+    generate_dataset(manifest, GenerationConfig(per_type_samples=23), dataset)
+    joints["img0"] = np.full((21, 3), 0.25)
+    joints["img1"][2] = joints["img1"][1]
+    write_manifest(manifest, joints)
+    report = validate_dataset(manifest, dataset)
+    img0_ids = {m.question_id for m in iter_dataset(dataset) if m.image_id == "img0"}
+    pose_skips = [s for s in report.skipped if s["reason"] == "degenerate_pose"]
+    assert {s["question_id"] for s in pose_skips} == img0_ids
+    assert {s["detail"] for s in pose_skips} == {"joints reference has zero extent"}
+    bone_details = [s["detail"] for s in report.skipped if s["reason"] == "degenerate_bone"]
+    assert sorted(bone_details) == ["zero-length bone at joint 1", "zero-length bone at joint 2"]
 
 
 def test_validate_reports_aligned_skips_under_wider_band(generated):

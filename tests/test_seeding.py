@@ -27,7 +27,7 @@ def test_dataset_does_not_import_random():
     # a 4-option order, as `assemble_mcq` draws it
     (4, (0, "img000", "options", "angle:14"), [0, 2, 1, 3]),
     (4, (-12345, "img000", "options", "angle:14"), [1, 2, 3, 0]),
-    # a kind's 23-target pool, as `_sample_targets` draws it
+    # a kind's 23-target pool, as `_image_lines` draws it
     (23, (0, "img000", "sample", "distance"),
      [4, 15, 7, 16, 3, 21, 13, 19, 12, 10, 22, 8, 14, 6, 9, 17, 11, 0, 18, 5, 20, 2, 1]),
     (23, (0, "héllo✋", "sample", "distance"),

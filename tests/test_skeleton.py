@@ -40,6 +40,9 @@ def test_display_name_examples():
     )
     assert joint_display_name(JOINT_NAMES.index("thumb_tip")) == "tip joint of the thumb"
     assert joint_display_name(WRIST) == "wrist"
+    for j in (-1, NUM_JOINTS):
+        with pytest.raises(KeyError, match=f"joint index {j} outside"):
+            joint_display_name(j)
 
 
 def test_display_names_injective():
