@@ -95,7 +95,7 @@ def _canonical_json(obj) -> str:
 
 
 def question_id(image_id: str, target: DescriptorTarget) -> str:
-    return f"{_digest(image_id, target.key(), size=8):016x}"
+    return hashlib.blake2b(f"{image_id}{_SEP}{target.key()}".encode(), digest_size=8).hexdigest()
 
 
 def _axis_flips(flips) -> tuple[int, int, int]:
@@ -110,7 +110,8 @@ def _axis_flips(flips) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class PoseRecord:
     """One manifest entry: an image id and its raw pose annotation. Raises
-    ValueError for an empty image_id, a non-string image_path or bad flips."""
+    ValueError for an empty image_id or one that UTF-8 cannot encode, a
+    non-string image_path or bad flips."""
 
     image_id: str
     raw_pose: RawPose
@@ -120,10 +121,20 @@ class PoseRecord:
     def __post_init__(self):
         if not isinstance(self.image_id, str) or not self.image_id:
             raise ValueError("missing or empty image_id")
+        try:
+            self.image_id.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"image_id {self.image_id!r} is not valid UTF-8") from None
         if self.image_path is not None and not isinstance(self.image_path, str):
             raise ValueError("image_path must be a string")
         if self.axis_flips is not None:
             object.__setattr__(self, "axis_flips", _axis_flips(self.axis_flips))
+
+
+_CONFIG_FIELDS = {"seed": _is_int, "per_type_samples": _is_int,
+                  "thresholds": lambda v: isinstance(v, ThresholdConfig),
+                  "axis_flips": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                  "resample_on_aligned": lambda v: isinstance(v, bool)}
 
 
 @dataclass(frozen=True)
@@ -135,6 +146,7 @@ class GenerationConfig:
     resample_on_aligned keeps the per-image budget by drawing a replacement
     target whenever one is skipped (aligned relative position or degenerate
     geometry); disabled, only the first per_type_samples draws are used.
+    A field of the wrong type (a bool is no int) or out of range raises ValueError.
     """
 
     seed: int = 0
@@ -146,8 +158,7 @@ class GenerationConfig:
     def __post_init__(self):
         # Equal configs must spell equally: `_run_json` is cached on the
         # config, and True == 1 == 1.0 would share one entry.
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_fields(vars(self), "config", _CONFIG_FIELDS)
         max_pool = max(len(catalog(k)) for k in KINDS)
         if not 1 <= self.per_type_samples <= max_pool:
             raise ValueError(f"per_type_samples must be in [1, {max_pool}]")
@@ -160,22 +171,16 @@ class GenerationConfig:
     def from_dict(cls, d: dict) -> "GenerationConfig":
         """Raises ValueError for a non-object, an unknown key or a wrongly
         typed value; missing keys take their defaults."""
-        check_fields(d, "config", {
-            "seed": _is_int,
-            "per_type_samples": _is_int,
-            "thresholds": lambda v: isinstance(v, dict),
-            "axis_flips": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-            "resample_on_aligned": lambda v: isinstance(v, bool),
-        })
-        if "thresholds" in d:
+        if isinstance(d, dict) and isinstance(d.get("thresholds"), dict):
             d = {**d, "thresholds": ThresholdConfig.from_dict(d["thresholds"])}
+        check_fields(d, "config", _CONFIG_FIELDS)
         return cls(**d)
 
 
 @dataclass(frozen=True)
 class Mcq:
     """One question, with the `category` its correct option states. Raises
-    ValueError unless `correct_index` is an int indexing `options`."""
+    ValueError for a mistyped field or a `correct_index` outside `options`."""
 
     question_id: str
     image_id: str
@@ -191,9 +196,18 @@ class Mcq:
         return self.target.kind
 
     def __post_init__(self):
-        if not _is_int(self.correct_index) or not 0 <= self.correct_index < len(self.options):
+        if not isinstance(self.question_id, str) or not isinstance(self.image_id, str):
+            raise ValueError("question_id and image_id must be strings")
+        if not isinstance(self.prompt, str):
+            raise ValueError("prompt must be a string")
+        options = self.options
+        if not isinstance(options, tuple) or not all(isinstance(o, str) for o in options):
+            raise ValueError("options must be a list of strings")
+        if not isinstance(self.provenance, dict):
+            raise ValueError("provenance must be a JSON object")
+        if not _is_int(self.correct_index) or not 0 <= self.correct_index < len(options):
             raise ValueError(f"correct_index {self.correct_index!r} out of range")
-        category = decode_statement(self.target, self.options[self.correct_index])
+        category = decode_statement(self.target, options[self.correct_index])
         if category is None:
             raise ValueError(f"{self.question_id}: correct option is not a rendered statement")
         object.__setattr__(self, "category", category)
@@ -218,18 +232,10 @@ class Mcq:
         target = target_from_fields(
             d["kind"], d["target"]["subject"], d["target"].get("object")
         )
-        question_id, image_id, options = d["question_id"], d["image_id"], d["options"]
-        if not isinstance(question_id, str) or not isinstance(image_id, str):
-            raise ValueError("question_id and image_id must be strings")
-        if not isinstance(d["prompt"], str):
-            raise ValueError("prompt must be a string")
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-            raise ValueError("options must be a list of strings")
-        provenance = d.get("provenance", {})
-        if not isinstance(provenance, dict):
-            raise ValueError("provenance must be a JSON object")
-        return cls(question_id, image_id, target, d["prompt"], tuple(options),
-                   d["correct_index"], provenance)
+        options = d["options"]
+        return cls(d["question_id"], d["image_id"], target, d["prompt"],
+                   tuple(options) if isinstance(options, list) else options,
+                   d["correct_index"], d.get("provenance", {}))
 
 
 @dataclass(frozen=True)

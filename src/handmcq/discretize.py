@@ -58,6 +58,10 @@ def _is_numbers(v) -> bool:
     return isinstance(v, (list, tuple)) and all(map(_is_number, v))
 
 
+_THRESHOLD_FIELDS = {"angle_cuts": _is_numbers, "distance_cuts": _is_numbers,
+                     "relpos_band": _is_number}
+
+
 def check_fields(d, what: str, checks: dict) -> None:
     """Check a config object: a dict whose keys all appear in `checks` and
     whose values pass the key's check. Raises ValueError naming the key."""
@@ -88,6 +92,8 @@ class ThresholdConfig:
 
     Defaults: angle bins split at 105/150/170 degrees, distance bins at
     0.1/0.3, and the relative-position aligned band is [-0.15, 0.15).
+    Raises ValueError unless the cuts are lists or tuples of finite, strictly
+    increasing numbers and relpos_band a finite positive number (no bools).
     """
 
     angle_cuts: tuple[float, float, float] = (105.0, 150.0, 170.0)
@@ -95,6 +101,7 @@ class ThresholdConfig:
     relpos_band: float = 0.15
 
     def __post_init__(self):
+        check_fields(vars(self), "thresholds", _THRESHOLD_FIELDS)
         # `+ 0.0` spells a -0.0 cut as 0.0, which it equals: equal configs
         # must share one config_id.
         object.__setattr__(self, "angle_cuts", tuple(float(c) + 0.0 for c in self.angle_cuts))
@@ -124,8 +131,7 @@ class ThresholdConfig:
     def from_dict(cls, d: dict) -> "ThresholdConfig":
         """Raises ValueError for a non-object, an unknown key or a wrongly
         typed value; missing keys take their defaults."""
-        check_fields(d, "thresholds", {"angle_cuts": _is_numbers, "distance_cuts": _is_numbers,
-                                       "relpos_band": _is_number})
+        check_fields(d, "thresholds", _THRESHOLD_FIELDS)
         return cls(**d)
 
 

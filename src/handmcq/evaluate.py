@@ -61,7 +61,10 @@ class PredictionRecord:
 
     Either a raw answer string (optionally with a scalar confidence for the
     stated answer) or per-option confidences, whose argmax defines the
-    prediction after renormalizing to sum to 1.
+    prediction after renormalizing to sum to 1. Raises ValueError unless the
+    id and answer are strings, a confidence is a number (a bool is none) in
+    [0, 1], and option_confidences a list or tuple of finite, non-negative
+    numbers with a positive sum; numbers are kept as floats.
     """
 
     question_id: str
@@ -69,47 +72,41 @@ class PredictionRecord:
     confidence: float | None = None
     option_confidences: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.question_id, str):
+            raise ValueError("missing or non-string question_id")
+        if not isinstance(self.raw_answer, str):
+            raise ValueError("raw_answer must be a string")
+        if self.confidence is not None:
+            if not _is_number(self.confidence):
+                raise ValueError(f"confidence value {self.confidence!r} is not a number")
+            object.__setattr__(self, "confidence", float(self.confidence))
+            if not 0.0 <= self.confidence <= 1.0:
+                raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        if self.option_confidences is not None:
+            if not isinstance(self.option_confidences, (list, tuple)):
+                raise ValueError("option_confidences must be a list")
+            for c in self.option_confidences:
+                if not _is_number(c):
+                    raise ValueError(f"option_confidences value {c!r} is not a number")
+            per_option = tuple(map(float, self.option_confidences))
+            if not all(math.isfinite(c) and c >= 0 for c in per_option) or sum(per_option) <= 0:
+                raise ValueError("option_confidences must be finite and "
+                                 "non-negative with positive sum")
+            object.__setattr__(self, "option_confidences", per_option)
+
 
 def load_predictions(path) -> Iterator[PredictionRecord]:
-    """Stream prediction records from a JSONL file.
-
-    Raises ParseError for a record that is not an object with a string
-    question_id, a string raw_answer (when present), a confidence in
-    [0, 1], or a list of finite, non-negative option_confidences with a
-    positive sum.
-    """
+    """Stream prediction records from a JSONL file. Raises ParseError
+    naming the line of a record that is not a JSON object or that
+    `PredictionRecord` refuses."""
     for line_no, obj in read_jsonl(path):
-        if not isinstance(obj.get("question_id"), str):
-            raise ParseError(line_no, "missing or non-string question_id")
-        raw_answer = obj.get("raw_answer", "")
-        if not isinstance(raw_answer, str):
-            raise ParseError(line_no, "raw_answer must be a string")
-        confidence = obj.get("confidence")
-        if confidence is not None:
-            confidence = _parse_float(line_no, "confidence", confidence)
-            if not 0.0 <= confidence <= 1.0:
-                raise ParseError(line_no, f"confidence {confidence} outside [0, 1]")
-        per_option = obj.get("option_confidences")
-        if per_option is not None:
-            if not isinstance(per_option, list):
-                raise ParseError(line_no, "option_confidences must be a list")
-            per_option = tuple(_parse_float(line_no, "option_confidences", c)
-                               for c in per_option)
-            if not all(math.isfinite(c) and c >= 0 for c in per_option) or sum(per_option) <= 0:
-                raise ParseError(line_no, "option_confidences must be finite and "
-                                          "non-negative with positive sum")
-        yield PredictionRecord(
-            question_id=obj["question_id"],
-            raw_answer=raw_answer,
-            confidence=confidence,
-            option_confidences=per_option,
-        )
-
-
-def _parse_float(line_no: int, name: str, value) -> float:
-    if not _is_number(value):
-        raise ParseError(line_no, f"{name} value {value!r} is not a number")
-    return float(value)
+        try:
+            record = PredictionRecord(obj.get("question_id"), obj.get("raw_answer", ""),
+                                      obj.get("confidence"), obj.get("option_confidences"))
+        except ValueError as e:
+            raise ParseError(line_no, str(e)) from None
+        yield record
 
 
 # option letter, either case -> option index

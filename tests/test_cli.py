@@ -225,6 +225,9 @@ _MALFORMED_MANIFESTS = {
                       "line 6: expected 21 joints, got 20"),
     "mesh_of_1e308_rows": ((_manifest_line(mesh_vertices=[[1e308] * 3] * 50),),
                            "line 6: mesh reference"),
+    # An ASCII line whose escaped id holds a lone surrogate, which UTF-8 cannot encode.
+    "lone_surrogate_id": ((_manifest_line(image_id="bad\udc80id"),),
+                          "line 6: image_id 'bad\\udc80id' is not valid UTF-8"),
     "duplicate_before_malformed": ((_manifest_line(image_id="img000000"), b"", b"[1]"),
                                    "DuplicateImageId: image_id 'img000000' (line 6)"),
     "malformed_before_duplicate": ((b"[1]", _manifest_line(image_id="img000000")),

@@ -342,6 +342,12 @@ def test_generation_config_validation():
     for seed in (True, 1.0, "1"):  # each equals or spells like the int 1
         with pytest.raises(ValueError, match="seed"):
             GenerationConfig(seed=seed)
+    # Each would write a header `validate` rejects, or fail in generation.
+    for fields in ({"per_type_samples": 5.0}, {"resample_on_aligned": 1},
+                   {"thresholds": {"relpos_band": 0.2}},
+                   {"per_type_samples": 5.0, "resample_on_aligned": False}):
+        with pytest.raises(ValueError, match=f"config: {next(iter(fields))} has the wrong type"):
+            GenerationConfig(**fields)
     cfg = GenerationConfig.from_dict(GenerationConfig(seed=3).to_dict())
     assert cfg == GenerationConfig(seed=3)
 
@@ -626,6 +632,10 @@ def test_an_mcq_carries_the_category_of_its_correct_option():
     unrendered = {**fields, "options": (*options[:2], "The hand is closed.")}
     with pytest.raises(ValueError, match="q7: correct option is not a rendered statement"):
         Mcq(**unrendered, correct_index=2)
+    with pytest.raises(ValueError, match="options must be a list of strings"):
+        Mcq(**{**fields, "options": list(options)}, correct_index=1)
+    with pytest.raises(ValueError, match="question_id and image_id must be strings"):
+        Mcq(**{**fields, "question_id": 5}, correct_index=1)
 
 
 @pytest.mark.parametrize("correct_index", [-1, 3, True])

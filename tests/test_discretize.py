@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from handmcq.discretize import (
@@ -125,6 +126,12 @@ def test_threshold_validation():
         ThresholdConfig(distance_cuts=(0.3, 0.3))
     with pytest.raises(ValueError):
         ThresholdConfig(relpos_band=0.0)
+    # A config file's `thresholds` object could hold none of these.
+    for fields in ({"angle_cuts": ("105", "150", "170")}, {"relpos_band": True},
+                   {"distance_cuts": np.array([0.1, 0.3])}):
+        key = next(iter(fields))
+        with pytest.raises(ValueError, match=f"thresholds: {key} has the wrong type"):
+            ThresholdConfig(**fields)
 
 
 def test_threshold_config_id_and_round_trip():

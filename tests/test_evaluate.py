@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import synthetic_manifest
@@ -101,6 +102,10 @@ def test_resolve_prediction_per_option_confidences():
     assert confidence == pytest.approx(0.6)
     scalar = PredictionRecord("q", raw_answer="(a)", confidence=0.75)
     assert resolve_prediction(scalar, options) == (0, 0.75)
+    # A prediction file's list could hold no such value.
+    for confs in [(-1.0, 2.0, 0, 0), np.array([1.0, 3.0, 1.0])]:
+        with pytest.raises(ValueError, match="option_confidences"):
+            PredictionRecord("q", option_confidences=confs)
 
 
 def test_float_sums_run_left_to_right_from_zero():
@@ -417,7 +422,8 @@ def test_score_keeps_no_copy_of_the_predicted_ids(catalog_dataset):
 
 def test_score_reports_a_repeated_id_before_resolving_its_answer():
     gold = [make_gold("angle", "straight", "q0")]
-    no_mass = PredictionRecord("q0", option_confidences=(0.0, 0.0, 0.0, 0.0))
+    # Positive sum, but no mass on the 4 options the question shows.
+    no_mass = PredictionRecord("q0", option_confidences=(0.0, 0.0, 0.0, 0.0, 1.0))
     with pytest.raises(DuplicatePrediction, match="q0"):
         score(gold, [letter_pred("q0", 0), no_mass])
 
@@ -643,6 +649,8 @@ def test_load_predictions_rejects_bad_rows(tmp_path):
     {"question_id": "q1", "raw_answer": None},
     {"question_id": "q1", "raw_answer": "(a)", "confidence": "high"},
     {"question_id": "q1", "raw_answer": "(a)", "confidence": [0.5]},
+    {"question_id": "q1", "raw_answer": "(a)", "confidence": 1.5},
+    {"question_id": "q1", "option_confidences": [-1.0, 2.0, 0, 0]},
     {"question_id": "q1", "option_confidences": [float("nan"), 0.5, 0.2, 0.1]},
     {"question_id": "q1", "option_confidences": [float("inf"), 0.5]},
     {"question_id": "q1", "option_confidences": "1"},
@@ -651,7 +659,8 @@ def test_load_predictions_rejects_bad_rows(tmp_path):
     {"question_id": 7, "raw_answer": "(a)"},
     {"question_id": ["q1"], "raw_answer": "(a)"},
 ], ids=["int_answer", "null_answer", "word_confidence", "list_confidence",
-        "nan_option_confidence", "inf_option_confidence", "string_option_confidences",
+        "confidence_above_one", "negative_option_confidence", "nan_option_confidence",
+        "inf_option_confidence", "string_option_confidences",
         "scalar_option_confidences", "word_option_confidence", "int_question_id",
         "list_question_id"])
 def test_load_predictions_rejects_malformed_values_with_line_number(tmp_path, bad):
@@ -661,6 +670,10 @@ def test_load_predictions_rejects_malformed_values_with_line_number(tmp_path, ba
     with pytest.raises(ParseError) as exc:
         list(load_predictions(path))
     assert exc.value.line_no == 2
+    # A record built in Python meets the same rule with the same message.
+    with pytest.raises(ValueError) as built:
+        PredictionRecord(**bad)
+    assert str(built.value) == exc.value.reason
 
 
 @pytest.mark.parametrize("bad", [
@@ -679,6 +692,9 @@ def test_load_predictions_takes_only_json_numbers_as_confidences(tmp_path, bad):
     with pytest.raises(ParseError) as exc:
         list(load_predictions(path))
     assert exc.value.line_no == 2
+    with pytest.raises(ValueError) as built:
+        PredictionRecord(**bad)
+    assert str(built.value) == exc.value.reason
 
 
 def test_parse_answer_reads_the_letters_from_option_letters(monkeypatch):

@@ -2,7 +2,9 @@
 
 Each loader must yield every record, in order, or stop with a ParseError
 naming the line of the first record it rejects; and the CLI commands that
-read the file must exit 0, 3, 4 or 5, never with a traceback.
+read the file must exit 0, 3, 4 or 5, never with a traceback. A generation
+config built in Python must either read back from the header it writes or
+be refused with a ValueError.
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ from handmcq.dataset import (
     generate_image_mcqs,
     iter_dataset,
     load_manifest,
+    read_config,
 )
+from handmcq.discretize import ThresholdConfig
 from handmcq.errors import DuplicateImageId, ParseError
 from handmcq.evaluate import load_predictions
 from handmcq.geometry import RawPose
@@ -196,3 +200,39 @@ def test_fuzz_load_predictions(lines):
             assert code in ALLOWED_EXITS
             if failed_at is not None:
                 assert code == 3
+
+
+def _cuts(n: int):
+    """Mostly valid cuts, sometimes of the wrong length or type."""
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+    return (st.lists(finite, min_size=n, max_size=n, unique=True).map(sorted)
+            | st.lists(finite, max_size=n + 1).map(tuple) | json_values)
+
+
+threshold_fields = st.fixed_dictionaries({}, optional={
+    "angle_cuts": _cuts(3),
+    "distance_cuts": _cuts(2),
+    "relpos_band": st.floats(0, 10) | st.integers(0, 3) | json_values,
+})
+config_fields = st.fixed_dictionaries({}, optional={
+    "seed": st.integers() | json_values,
+    "per_type_samples": st.integers(0, 24) | json_values,
+    "axis_flips": st.lists(st.sampled_from([-1, 1, 1, 0, 1.0, True]), min_size=2, max_size=4)
+    | json_values,
+    "resample_on_aligned": st.booleans() | json_values,
+    "thresholds": json_values,
+})
+
+
+@FUZZ
+@given(fields=config_fields, thresholds=st.none() | threshold_fields)
+def test_a_config_that_constructs_reads_back_from_its_header(fields, thresholds):
+    try:
+        if thresholds is not None:
+            fields = {**fields, "thresholds": ThresholdConfig(**thresholds)}
+        cfg = GenerationConfig(**fields)
+    except ValueError:
+        return  # refused, as a header or config file holding these values would be
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "d.jsonl", [_dumps(dataset_header(cfg))])
+        assert read_config(path) == cfg
