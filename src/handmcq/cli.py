@@ -12,6 +12,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -20,6 +21,7 @@ import sys
 from ._version import __version__
 from .dataset import (
     GenerationConfig,
+    _replacing,
     generate_dataset,
     label_stats,
 )
@@ -156,7 +158,15 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def _print_score_report(report, report_path) -> None:
+def _report(args, compute) -> int:
+    """Print the report `compute()` returns, after writing its JSON form to
+    `--report` through `_replacing`. The path is checked before `compute`
+    reads any input; a report that cannot be written prints nothing."""
+    with (_replacing(args.report) if args.report else contextlib.nullcontext()) as tmp_path:
+        report = compute()
+        if tmp_path:
+            with open(tmp_path, "w", encoding="utf-8") as fh:
+                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
     print(report.format_text())
     for kind, matrix in sorted(report.confusion.items()):
         print(f"\nconfusion [{kind}] (rows = gold, columns = predicted)")
@@ -168,25 +178,20 @@ def _print_score_report(report, report_path) -> None:
         print(" " * width + "".join(f"{lb:>{width}}" for lb in labels))
         for g, row in rows.items():
             print(f"{g:>{width}}" + "".join(f"{cell:>{width}}" for cell in row))
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nreport written to {report_path}")
+    if args.report:
+        print(f"\nreport written to {args.report}")
+    return EXIT_OK
 
 
 def _cmd_score(args) -> int:
     _refuse_to_overwrite(args.report, args.gold, args.pred)
-    report = score(args.gold, load_predictions(args.pred),
-                   calibration_bins=args.calibration_bins)
-    _print_score_report(report, args.report)
-    return EXIT_OK
+    return _report(args, lambda: score(args.gold, load_predictions(args.pred),
+                                       calibration_bins=args.calibration_bins))
 
 
 def _cmd_baseline(args) -> int:
     _refuse_to_overwrite(args.report, args.gold)
-    report = random_baseline(args.gold, seed=args.seed, trials=args.trials)
-    _print_score_report(report, args.report)
-    return EXIT_OK
+    return _report(args, lambda: random_baseline(args.gold, seed=args.seed, trials=args.trials))
 
 
 def _cmd_stats(args) -> int:

@@ -532,6 +532,24 @@ def dataset_header(cfg: GenerationConfig) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _replacing(out_path) -> Iterator[str]:
+    """Yield a temporary path beside `out_path` that replaces it when the
+    block succeeds and is removed when it fails. Raises OSError on entry
+    when `out_path` exists and is not a regular file."""
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        raise OSError(f"{out_path}: output is not a regular file")
+    out_path = os.path.realpath(out_path)  # a symlink is written through, as by open()
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        yield tmp_path
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)
+        raise
+
+
 def generate_dataset(
     manifest_path, cfg: GenerationConfig, out_path, jobs: int = 1
 ) -> GenerationSummary:
@@ -539,42 +557,32 @@ def generate_dataset(
 
     Output bytes depend only on (manifest, cfg): records appear in manifest
     order, MCQs within an image ordered by kind then sample index,
-    regardless of the parallelism degree. The dataset is streamed into a
-    temporary file next to out_path, which replaces out_path only once
-    every record is written: a failed run leaves out_path as it was.
+    regardless of the parallelism degree. The dataset is written through
+    `_replacing`, so a failed run leaves out_path as it was.
 
     Each worker parses the manifest lines it is handed and returns a bad
     line's ParseError; results come back in manifest order, where the
     parent raises that error or checks for a duplicate image id, so the
     first bad line wins at any `jobs`.
     """
-    out_path = os.fspath(out_path)
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
-        raise OSError(f"{out_path}: output is not a regular file")
     kind_counts: Counter = Counter()
     skip_counts: Counter = Counter()
     work = functools.partial(_generate_lines, cfg)
     lines = _jsonl_lines(manifest_path)
     seen: set[str] = set()
-    tmp_path = f"{out_path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8", newline="\n") as out, \
-                (contextlib.nullcontext() if jobs == 1 else multiprocessing.Pool(jobs)) as pool:
-            out.write(_canonical_json(dataset_header(cfg)) + "\n")
-            results = map(work, lines) if pool is None else pool.imap(work, lines, chunksize=16)
-            for result in results:
-                if isinstance(result, ParseError):
-                    raise result
-                line_no, image_id, text, kinds, skip_reasons = result
-                _check_new_image_id(seen, image_id, line_no)
-                out.write(text)
-                kind_counts.update(kinds)
-                skip_counts.update(skip_reasons)
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp_path)
-        raise
+    with _replacing(out_path) as tmp_path, \
+            open(tmp_path, "w", encoding="utf-8", newline="\n") as out, \
+            (contextlib.nullcontext() if jobs == 1 else multiprocessing.Pool(jobs)) as pool:
+        out.write(_canonical_json(dataset_header(cfg)) + "\n")
+        results = map(work, lines) if pool is None else pool.imap(work, lines, chunksize=16)
+        for result in results:
+            if isinstance(result, ParseError):
+                raise result
+            line_no, image_id, text, kinds, skip_reasons = result
+            _check_new_image_id(seen, image_id, line_no)
+            out.write(text)
+            kind_counts.update(kinds)
+            skip_counts.update(skip_reasons)
     return GenerationSummary(len(seen), {k: kind_counts[k] for k in KINDS}, dict(skip_counts))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -306,42 +307,14 @@ def _confusion_for(report: MetricsReport, kind: str) -> dict[str, dict[str, floa
     return matrix
 
 
-def _score_resolved(
-    resolved: Iterable[tuple[str, _Gold, int | None, float | None]],
-    calibration_bins: int | None = None,
-) -> MetricsReport:
-    """Accumulate metrics from (question_id, gold record, option index,
-    confidence) tuples. The gold label comes from the record, decoded once
-    when its question was read; the question id only names a prediction
-    that lacks a confidence (MissingConfidence).
-
-    One pass counts the questions per (record, option index) pair and fills
-    the calibration bins; every other metric is derived from the counts,
-    decoding each distinct pair once. Kinds appear in `per_kind` and
-    `confusion` in the order of their first question. Apart from that
-    order and the calibration sums, the result does not depend on
-    iteration order.
+def _score_resolved(counts: dict[tuple[_Gold, int | None], int]) -> MetricsReport:
+    """Derive every metric but calibration from a count table: the number
+    of questions per (gold record, option index or None for an unparseable
+    answer) pair. The gold label comes from the record, decoded once when
+    its question was read; each distinct pair is decoded once here. Kinds
+    appear in `per_kind` and `confusion` in the order of their first pair.
     """
     report = MetricsReport()
-    counts: dict[tuple[_Gold, int | None], int] = {}
-    calib: CalibrationTable | None = None
-    if calibration_bins is not None:
-        calib = CalibrationTable(
-            bins=[CalibrationBin(lo=i / calibration_bins, hi=(i + 1) / calibration_bins)
-                  for i in range(calibration_bins)]
-        )
-    for qid, record, index, confidence in resolved:
-        key = record, index
-        counts[key] = counts.get(key, 0) + 1
-        if calib is not None and index is not None:
-            if confidence is None:
-                raise MissingConfidence(qid)
-            slot = min(int(confidence * calibration_bins), calibration_bins - 1)
-            b = calib.bins[slot]
-            b.count += 1
-            b.confidence_sum += confidence
-            b.correct += int(index == record.correct_index)
-            calib.total += 1
     abs_err = {kind: 0 for kind in ORDINAL_KINDS}
     err_n = {kind: 0 for kind in ORDINAL_KINDS}
     for (record, index), n in counts.items():
@@ -364,7 +337,6 @@ def _score_resolved(
         report.angle_mae = abs_err["angle"] / err_n["angle"]
     if err_n["distance"]:
         report.distance_mae = abs_err["distance"] / err_n["distance"]
-    report.calibration = calib
     return report
 
 
@@ -385,19 +357,30 @@ def score(
     if calibration_bins is not None and calibration_bins < 1:
         raise ValueError("calibration_bins must be >= 1")
     index = _gold_index(gold)
-
-    def resolved():
+    counts = Counter()
+    calib = None if calibration_bins is None else CalibrationTable(
+        [CalibrationBin(lo=i / calibration_bins, hi=(i + 1) / calibration_bins)
+         for i in range(calibration_bins)])
+    for pred in predictions:
+        qid = pred.question_id
+        record = index.get(qid)
+        if record is None:
+            raise (DuplicatePrediction if qid in index else UnknownQuestionId)(qid)
         # An answered id stays in the index with its entry set to None.
-        for pred in predictions:
-            qid = pred.question_id
-            record = index.get(qid)
-            if record is None:
-                raise (DuplicatePrediction if qid in index else UnknownQuestionId)(qid)
-            index[qid] = None
-            opt_index, confidence = resolve_prediction(pred, record.options)
-            yield qid, record, opt_index, confidence
-
-    return _score_resolved(resolved(), calibration_bins)
+        index[qid] = None
+        opt_index, confidence = resolve_prediction(pred, record.options)
+        counts[record, opt_index] += 1
+        if calib is not None and opt_index is not None:
+            if confidence is None:
+                raise MissingConfidence(qid)
+            b = calib.bins[min(int(confidence * calibration_bins), calibration_bins - 1)]
+            b.count += 1
+            b.confidence_sum += confidence
+            b.correct += int(opt_index == record.correct_index)
+            calib.total += 1
+    report = _score_resolved(counts)
+    report.calibration = calib
+    return report
 
 
 def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
@@ -409,13 +392,12 @@ def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    index = _gold_index(gold)
+    records = _gold_index(gold).values()
     reports = []
     for trial in range(trials):
         rng = random.Random(_digest("baseline", seed, trial, size=8))
-        reports.append(_score_resolved(
-            (qid, record, rng.randrange(len(record.options)), None)
-            for qid, record in index.items()))
+        reports.append(_score_resolved(Counter(
+            (record, rng.randrange(len(record.options))) for record in records)))
     return _average_reports(reports)
 
 

@@ -1,12 +1,23 @@
 """Shared synthetic-pose builders and file helpers."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+
+# A failing Hypothesis test makes its plugin import this module, which
+# imports libcst, whose use of `mypy_extensions.TypedDict` warns. Under
+# `-W error` that warning turned the failure report into an INTERNALERROR;
+# importing the module once here, with the warning ignored, keeps the
+# falsifying example readable.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # One slot value per joint, reused on all three axes. Chosen so that every
 # catalog joint pair differs by at least 0.25 after normalization (the

@@ -322,6 +322,59 @@ def test_baseline_refuses_a_report_that_replaces_its_gold(tmp_path, gold, capsys
     assert dataset.read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["score", "baseline"])
+def test_a_directory_report_exits_before_any_input_is_read(tmp_path, gold, capsys, command):
+    inputs = _score_inputs(tmp_path, gold)
+    # A gold file that would exit 3 if it were read.
+    inputs["--gold"].write_text("not json\n")
+    argv = [command, "--gold", inputs["--gold"], "--report", tmp_path]
+    if command == "score":
+        argv += ["--pred", inputs["--pred"]]
+    capsys.readouterr()
+    assert run(*argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{tmp_path}: output is not a regular file" in captured.err
+
+
+@pytest.mark.parametrize("command", ["score", "baseline"])
+def test_a_failed_report_write_keeps_the_previous_report(tmp_path, gold, capsys, monkeypatch,
+                                                          command):
+    inputs = _score_inputs(tmp_path, gold)
+    report = tmp_path / "out" / "report.json"
+    report.parent.mkdir()
+    report.write_text("previous report")
+
+    def dump_half(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:100])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    argv = [command, "--gold", inputs["--gold"], "--report", report]
+    if command == "score":
+        argv += ["--pred", inputs["--pred"]]
+    capsys.readouterr()
+    assert run(*argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No space left on device" in captured.err
+    assert report.read_text() == "previous report"
+    assert [p.name for p in report.parent.iterdir()] == ["report.json"]
+
+
+def test_outputs_are_written_through_a_symlink(tmp_path, manifest, gold):
+    _, dataset = gold
+    for argv in (["generate", "--manifest", manifest, "--out"],
+                 ["baseline", "--gold", dataset, "--report"]):
+        target = tmp_path / f"{argv[0]}_target"
+        target.write_text("old")
+        link = tmp_path / f"{argv[0]}_link"
+        link.symlink_to(target)
+        assert run(*argv, link) == 0
+        assert link.is_symlink()
+        assert target.read_text() != "old"
+
+
 @pytest.mark.parametrize("bad_fields", [
     {"raw_answer": 5},
     {"raw_answer": "(a)", "confidence": "high"},

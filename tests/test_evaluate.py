@@ -386,12 +386,10 @@ def test_score_and_baseline_decode_each_gold_record_once(catalog_dataset, monkey
                             lambda *a, calls=calls, decode=decode: calls.append(a) or decode(*a))
     reduce = evaluate._score_resolved
 
-    def counted_reduce(resolved, *args):
-        resolved = list(resolved)
-        pairs = len({(id(record), index) for _, record, index, _ in resolved})
+    def counted_reduce(counts):
         before = len(reduce_calls)
-        report = reduce(resolved, *args)
-        in_reduce.append((len(reduce_calls) - before, pairs))
+        report = reduce(counts)
+        in_reduce.append((len(reduce_calls) - before, len(counts)))
         return report
 
     monkeypatch.setattr(evaluate, "_score_resolved", counted_reduce)
@@ -511,6 +509,17 @@ def random_stream(rng, records, length, missing_confidence=0.0):
     return stream
 
 
+def score_stream(stream, calibration_bins=None):
+    """`score` on one gold question and one prediction per stream tuple,
+    whose answer and confidence resolve to the tuple's."""
+    gold = [Mcq(qid, "img", record.target, "", record.options, record.correct_index)
+            for qid, record, _, _ in stream]
+    preds = [PredictionRecord(qid, "unsure" if index is None else f"({'abcd'[index]})",
+                              confidence)
+             for qid, _, index, confidence in stream]
+    return score(gold, preds, calibration_bins)
+
+
 def test_score_resolved_matches_the_per_question_reference():
     rng = random.Random(17)
     covered = set()
@@ -529,7 +538,7 @@ def test_score_resolved_matches_the_per_question_reference():
                                 for _, r, i, _ in stream)),
         ) if hit)
         for bins in (None, rng.randrange(1, 12)):
-            got = evaluate._score_resolved(iter(stream), bins).to_dict()
+            got = score_stream(stream, bins).to_dict()
             want = reference_score_resolved(iter(stream), bins).to_dict()
             assert json.dumps(got) == json.dumps(want)
     assert covered == {"shared", "unparseable", "undecodable"}
@@ -542,9 +551,9 @@ def test_score_resolved_raises_missing_confidence_where_the_reference_does():
         records = random_records(rng, rng.randrange(1, 6))
         stream = random_stream(rng, records, rng.randrange(1, 60), missing_confidence=0.05)
         outcomes = []
-        for reduce in (evaluate._score_resolved, reference_score_resolved):
+        for reduce in (score_stream, reference_score_resolved):
             try:
-                outcomes.append(json.dumps(reduce(iter(stream), 10).to_dict()))
+                outcomes.append(json.dumps(reduce(stream, 10).to_dict()))
             except MissingConfidence as exc:
                 outcomes.append(("MissingConfidence", str(exc)))
         assert outcomes[0] == outcomes[1]
