@@ -21,6 +21,7 @@ import sys
 from ._version import __version__
 from .dataset import (
     GenerationConfig,
+    _check_output,
     _replacing,
     generate_dataset,
     label_stats,
@@ -107,20 +108,6 @@ def _load_config_object(path) -> dict:
     return loaded
 
 
-def _refuse_to_overwrite(out, *inputs) -> None:
-    """Raises OSError before anything is written when the output path names
-    the same file as one of the inputs (None inputs are skipped)."""
-    if out is None:
-        return
-    for path in filter(None, inputs):
-        try:
-            same = os.path.samefile(out, path)
-        except OSError:
-            continue  # a missing output replaces nothing; a missing input fails when read
-        if same:
-            raise OSError(f"{out}: output would replace the input {path}")
-
-
 def _load_generation_config(args) -> GenerationConfig:
     cfg_dict = {
         "seed": args.seed,
@@ -132,7 +119,7 @@ def _load_generation_config(args) -> GenerationConfig:
 
 
 def _cmd_generate(args) -> int:
-    _refuse_to_overwrite(args.out, args.manifest, args.config)
+    _check_output(args.out, args.manifest, args.config)
     cfg = _load_generation_config(args)
     summary = generate_dataset(args.manifest, cfg, args.out, jobs=args.jobs)
     print(json.dumps(summary.to_dict(), sort_keys=True))
@@ -158,14 +145,14 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def _report(args, compute) -> int:
+def _report(args, compute, *inputs) -> int:
     """Print the report `compute()` returns, after writing its JSON form to
-    `--report` through `_replacing`. The path is checked before `compute`
-    reads any input; a report that cannot be written prints nothing."""
-    with (_replacing(args.report) if args.report else contextlib.nullcontext()) as tmp_path:
+    `--report` through `_replacing`, which checks the path against `inputs`
+    before `compute` reads any. A report that cannot be written prints nothing."""
+    with (_replacing(args.report, *inputs) if args.report else contextlib.nullcontext()) as tmp:
         report = compute()
-        if tmp_path:
-            with open(tmp_path, "w", encoding="utf-8") as fh:
+        if tmp:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
     print(report.format_text())
     for kind, matrix in sorted(report.confusion.items()):
@@ -184,14 +171,14 @@ def _report(args, compute) -> int:
 
 
 def _cmd_score(args) -> int:
-    _refuse_to_overwrite(args.report, args.gold, args.pred)
     return _report(args, lambda: score(args.gold, load_predictions(args.pred),
-                                       calibration_bins=args.calibration_bins))
+                                       calibration_bins=args.calibration_bins),
+                   args.gold, args.pred)
 
 
 def _cmd_baseline(args) -> int:
-    _refuse_to_overwrite(args.report, args.gold)
-    return _report(args, lambda: random_baseline(args.gold, seed=args.seed, trials=args.trials))
+    return _report(args, lambda: random_baseline(args.gold, seed=args.seed, trials=args.trials),
+                   args.gold)
 
 
 def _cmd_stats(args) -> int:

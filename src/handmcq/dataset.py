@@ -532,13 +532,24 @@ def dataset_header(cfg: GenerationConfig) -> dict:
     }
 
 
+def _check_output(out_path, *inputs) -> None:
+    """The rule every output path obeys, checked before any input is read.
+    Raises OSError when an existing `out_path` names the same file as one of
+    `inputs` (None and missing inputs are skipped) or is not a regular file."""
+    if os.path.exists(out_path):
+        for path in filter(None, inputs):
+            if os.path.exists(path) and os.path.samefile(out_path, path):
+                raise OSError(f"{out_path}: output would replace the input {path}")
+        if not os.path.isfile(out_path):
+            raise OSError(f"{out_path}: output is not a regular file")
+
+
 @contextlib.contextmanager
-def _replacing(out_path) -> Iterator[str]:
+def _replacing(out_path, *inputs) -> Iterator[str]:
     """Yield a temporary path beside `out_path` that replaces it when the
     block succeeds and is removed when it fails. Raises OSError on entry
-    when `out_path` exists and is not a regular file."""
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
-        raise OSError(f"{out_path}: output is not a regular file")
+    as `_check_output(out_path, *inputs)` does."""
+    _check_output(out_path, *inputs)
     out_path = os.path.realpath(out_path)  # a symlink is written through, as by open()
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
@@ -558,7 +569,8 @@ def generate_dataset(
     Output bytes depend only on (manifest, cfg): records appear in manifest
     order, MCQs within an image ordered by kind then sample index,
     regardless of the parallelism degree. The dataset is written through
-    `_replacing`, so a failed run leaves out_path as it was.
+    `_replacing`, so a failed run leaves out_path as it was, and an out_path
+    naming the manifest or not a regular file raises OSError before it is read.
 
     Each worker parses the manifest lines it is handed and returns a bad
     line's ParseError; results come back in manifest order, where the
@@ -570,7 +582,7 @@ def generate_dataset(
     work = functools.partial(_generate_lines, cfg)
     lines = _jsonl_lines(manifest_path)
     seen: set[str] = set()
-    with _replacing(out_path) as tmp_path, \
+    with _replacing(out_path, manifest_path) as tmp_path, \
             open(tmp_path, "w", encoding="utf-8", newline="\n") as out, \
             (contextlib.nullcontext() if jobs == 1 else multiprocessing.Pool(jobs)) as pool:
         out.write(_canonical_json(dataset_header(cfg)) + "\n")

@@ -278,6 +278,27 @@ def test_generate_refuses_an_out_that_is_not_a_regular_file(tmp_path, manifest):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "manifest.jsonl"]
 
 
+def test_generate_checks_out_before_it_reads_the_config(tmp_path, manifest, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"seed": "x"}')
+    capsys.readouterr()
+    assert run("generate", "--manifest", manifest, "--out", tmp_path, "--config", config) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{tmp_path}: output is not a regular file" in captured.err
+    assert "seed" not in captured.err
+
+
+def test_generate_refuses_to_replace_its_config(tmp_path, manifest, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": 3}')
+    capsys.readouterr()
+    assert run("generate", "--manifest", manifest, "--out", config, "--config", config) == 5
+    assert f"{config}: output would replace the input {config}" in capsys.readouterr().err
+    assert config.read_text() == '{"seed": 3}'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "manifest.jsonl"]
+
+
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_calibration_bins_must_be_positive(tmp_path, bins):
     with pytest.raises(SystemExit) as exc:
@@ -572,6 +593,17 @@ def test_misplaced_dataset_header_exits_3(tmp_path, manifest, gold, capsys, comm
     capsys.readouterr()
     assert run(*_read_side_argv(command, manifest, dataset, pred)) == 3
     assert "line 5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "score", "baseline", "stats"])
+@pytest.mark.parametrize("content", ["", "\n  \n\t\n"], ids=["zero_bytes", "blank_lines"])
+def test_empty_dataset_exits_3(tmp_path, manifest, capsys, command, content):
+    dataset, pred = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+    dataset.write_text(content)
+    pred.write_text("")
+    capsys.readouterr()
+    assert run(*_read_side_argv(command, manifest, dataset, pred)) == 3
+    assert "line 1: empty dataset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -476,6 +476,19 @@ def test_generate_dataset_empty_manifest(tmp_path):
     assert list(iter_dataset(out)) == []
 
 
+@pytest.mark.parametrize("spelling", ["same_path", "symlink"])
+def test_generate_dataset_refuses_to_replace_its_manifest(tmp_path, tiny_manifest, spelling):
+    before = tiny_manifest.read_bytes()
+    out = tiny_manifest
+    if spelling == "symlink":
+        out = tmp_path / "link.jsonl"
+        out.symlink_to(tiny_manifest)
+    with pytest.raises(OSError, match=f"output would replace the input {tiny_manifest}"):
+        generate_dataset(tiny_manifest, GenerationConfig(), out)
+    assert tiny_manifest.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_mcq_round_trip_through_file(tmp_path, tiny_manifest):
     out = tmp_path / "d.jsonl"
     generate_dataset(tiny_manifest, GenerationConfig(seed=3), out)
