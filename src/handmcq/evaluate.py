@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .dataset import OPTION_LETTERS, _digest, iter_dataset, read_jsonl
-from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category, _is_number
+from .discretize import LABELS_BY_KIND, OPTION_LABELS_BY_KIND, Category, _is_int, _is_number
 from .errors import (
     DuplicatePrediction,
     DuplicateQuestionId,
@@ -298,15 +298,6 @@ def _gold_index(gold) -> dict[str, _Gold]:
     return index
 
 
-def _confusion_for(report: MetricsReport, kind: str) -> dict[str, dict[str, float]]:
-    """The report's confusion matrix for `kind`, built at its first use."""
-    matrix = report.confusion.get(kind)
-    if matrix is None:
-        labels = OPTION_LABELS_BY_KIND[kind]
-        matrix = report.confusion[kind] = {g: {p: 0 for p in labels} for g in labels}
-    return matrix
-
-
 def _score_resolved(counts: dict[tuple[_Gold, int | None], int]) -> MetricsReport:
     """Derive every metric but calibration from a count table: the number
     of questions per (gold record, option index or None for an unparseable
@@ -329,7 +320,11 @@ def _score_resolved(counts: dict[tuple[_Gold, int | None], int]) -> MetricsRepor
             metric.correct += n
         pred = decode_statement(record.target, record.options[index])
         if pred is not None:
-            _confusion_for(report, kind)[record.category.label][pred.label] += n
+            matrix = report.confusion.get(kind)
+            if matrix is None:
+                labels = OPTION_LABELS_BY_KIND[kind]
+                matrix = report.confusion[kind] = {g: {p: 0 for p in labels} for g in labels}
+            matrix[record.category.label][pred.label] += n
             if kind in ORDINAL_KINDS:
                 abs_err[kind] += n * abs(ordinal_index(pred) - ordinal_index(record.category))
                 err_n[kind] += n
@@ -348,14 +343,14 @@ def score(
     `gold` is a dataset path or an iterable of Mcq. Raises
     UnknownQuestionId for a prediction without a gold question and
     DuplicatePrediction for a repeated question_id, before resolving the
-    repeat's answer. When calibration_bins is set, it must be positive
-    (ValueError otherwise), every parseable prediction must carry a
-    confidence (MissingConfidence otherwise), and the report's
-    `calibration` holds that many equal-width reliability bins over
-    [0, 1] with their expected calibration error.
+    repeat's answer. When calibration_bins is set, it must be an int (a
+    bool is none) of at least 1 (ValueError otherwise), every parseable
+    prediction must carry a confidence (MissingConfidence otherwise), and
+    the report's `calibration` holds that many equal-width reliability
+    bins over [0, 1] with their expected calibration error.
     """
-    if calibration_bins is not None and calibration_bins < 1:
-        raise ValueError("calibration_bins must be >= 1")
+    if calibration_bins is not None and (not _is_int(calibration_bins) or calibration_bins < 1):
+        raise ValueError(f"calibration_bins must be an int >= 1, not {calibration_bins!r}")
     index = _gold_index(gold)
     counts = Counter()
     calib = None if calibration_bins is None else CalibrationTable(
@@ -387,41 +382,31 @@ def random_baseline(gold, seed: int = 0, trials: int = 1) -> MetricsReport:
     """Metrics of a uniform random guesser, averaged over trials.
 
     Anchors: 25% accuracy on 4-option angle questions, 33.3% on 3-option
-    distance, 50% on binary relative position. With trials > 1 the
-    confusion cells and unparseable counts are means, not integers.
+    distance, 50% on binary relative position. The draws of all trials
+    fill one count table. With trials > 1, every count but `count` is
+    that table's count divided by `trials`, correctly rounded, so the
+    confusion cells and unparseable counts are means, not integers; MAE
+    is taken over all trials' answers. Raises ValueError unless `trials`
+    is an int (a bool is none) of at least 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, not {trials!r}")
     records = _gold_index(gold).values()
-    reports = []
+    counts = Counter()
     for trial in range(trials):
         rng = random.Random(_digest("baseline", seed, trial, size=8))
-        reports.append(_score_resolved(Counter(
-            (record, rng.randrange(len(record.options))) for record in records)))
-    return _average_reports(reports)
-
-
-def _average_reports(reports: list[MetricsReport]) -> MetricsReport:
-    if len(reports) == 1:
-        return reports[0]
-    n = len(reports)
-    out = MetricsReport()
-    for report in reports:
-        for kind, m in report.per_kind.items():
-            acc = out.per_kind.setdefault(kind, KindMetrics())
-            acc.count = m.count
-            acc.correct += m.correct / n
-            acc.unparseable += m.unparseable / n
-        for kind, matrix in report.confusion.items():
-            acc_matrix = _confusion_for(out, kind)
-            for g, row in matrix.items():
-                for p, v in row.items():
-                    acc_matrix[g][p] += v / n
-        out.unparseable += report.unparseable / n
-    maes = [r.angle_mae for r in reports if r.angle_mae is not None]
-    if maes:
-        out.angle_mae = _left_sum(maes) / len(maes)
-    maes = [r.distance_mae for r in reports if r.distance_mae is not None]
-    if maes:
-        out.distance_mae = _left_sum(maes) / len(maes)
-    return out
+        counts.update((record, rng.randrange(len(record.options))) for record in records)
+    report = _score_resolved(counts)
+    if trials > 1:
+        # Every trial answers every question, so the pooled MAE is
+        # already the mean of the per-trial MAEs.
+        for m in report.per_kind.values():
+            m.count //= trials
+            m.correct /= trials
+            m.unparseable /= trials
+        report.unparseable /= trials
+        for matrix in report.confusion.values():
+            for row in matrix.values():
+                for p in row:
+                    row[p] /= trials
+    return report

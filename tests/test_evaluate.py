@@ -3,6 +3,8 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from handmcq.evaluate import (
     score,
 )
 from handmcq.skeleton import catalog
-from handmcq.textgen import render_statement
+from handmcq.textgen import decode_statement, render_statement
 
 KIND_TARGETS = {kind: catalog(kind)[0] for kind in OPTION_LABELS_BY_KIND}
 
@@ -110,11 +112,15 @@ def test_resolve_prediction_per_option_confidences():
 
 def test_float_sums_run_left_to_right_from_zero():
     # `sum()` is compensated from Python 3.12 on and would give 0.5 and
-    # 0.19999999999999998; reports must not depend on the Python version.
+    # 0.6; reports must not depend on the Python version.
     pred = PredictionRecord("q", option_confidences=(0.1, 0.2, 0.3))
     assert resolve_prediction(pred, ("one", "two", "three")) == (2, 0.4999999999999999)
-    reports = [evaluate.MetricsReport(angle_mae=mae) for mae in (0.1, 0.2, 0.3)]
-    assert evaluate._average_reports(reports).angle_mae == 0.20000000000000004
+    # Terms 0.1, 0.2, 0.3 and 0: each of the first three bins is all
+    # correct at confidence 0, the last all wrong at confidence 0.
+    table = evaluate.CalibrationTable(
+        [evaluate.CalibrationBin(lo=i / 4, hi=(i + 1) / 4, count=n, correct=n * (i < 3))
+         for i, n in enumerate((1, 2, 3, 4))], total=10)
+    assert table.ece == 0.6000000000000001
 
 
 def test_resolve_prediction_rejects_zero_mass_on_visible_options():
@@ -218,7 +224,7 @@ def test_score_errors():
 
 def test_score_rejects_nonpositive_calibration_bins():
     gold = [make_gold("angle", "straight", "q0")]
-    for bins in (0, -2):
+    for bins in (0, -2, 2.5, "3", True):
         with pytest.raises(ValueError, match="calibration_bins"):
             score(gold, [letter_pred("q0", 3, confidence=0.9)], calibration_bins=bins)
 
@@ -335,8 +341,44 @@ def test_duplicate_gold_question_id_rejected():
 
 
 def test_random_baseline_validates_trials():
-    with pytest.raises(ValueError):
-        random_baseline([make_gold("angle", "straight", "q0")], seed=0, trials=0)
+    for trials in (0, -1, 2.5, "3", True):
+        with pytest.raises(ValueError, match="trials"):
+            random_baseline([make_gold("angle", "straight", "q0")], seed=0, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [3, 7])
+def test_baseline_means_are_exact(catalog_dataset, trials):
+    # Each trial's draws, as `random_baseline` makes them, summed exactly.
+    records = evaluate._gold_index(catalog_dataset).values()
+    count, correct, cells = Counter(), Counter(), Counter()
+    abs_err, answers = Counter(), Counter()
+    for trial in range(trials):
+        rng = random.Random(dataset._digest("baseline", 0, trial, size=8))
+        for record in records:
+            index = rng.randrange(len(record.options))
+            kind = record.target.kind
+            count[kind] += 1
+            correct[kind] += index == record.correct_index
+            pred = decode_statement(record.target, record.options[index])
+            cells[kind, record.category.label, pred.label] += 1
+            if kind in evaluate.ORDINAL_KINDS:
+                abs_err[kind] += abs(ordinal_index(pred) - ordinal_index(record.category))
+                answers[kind] += 1
+
+    def mean(total):
+        return float(Fraction(total, trials))
+
+    report = random_baseline(catalog_dataset, trials=trials)
+    assert set(report.per_kind) == set(count)
+    for kind, metric in report.per_kind.items():
+        assert type(metric.count) is int and metric.count * trials == count[kind]
+        assert (metric.correct, metric.unparseable) == (mean(correct[kind]), 0.0)
+    assert report.unparseable == 0.0
+    got = {(kind, g, p): v for kind, matrix in report.confusion.items()
+           for g, row in matrix.items() for p, v in row.items()}
+    assert got == {cell: mean(cells[cell]) for cell in got} and set(cells) <= set(got)
+    assert report.angle_mae == float(Fraction(abs_err["angle"], answers["angle"]))
+    assert report.distance_mae == float(Fraction(abs_err["distance"], answers["distance"]))
 
 
 # ------------------------------------------------------------- gold index
@@ -397,7 +439,7 @@ def test_score_and_baseline_decode_each_gold_record_once(catalog_dataset, monkey
     # One decode per question read, one per distinct gold record.
     assert len(read_calls) <= n + records
     score(catalog_dataset, [letter_pred(qid, 0) for qid in index])
-    assert len(in_reduce) == 4
+    assert len(in_reduce) == 2
     # Reduce decodes each distinct (record, option index) pair at most once.
     assert all(decodes <= pairs < n for decodes, pairs in in_reduce)
 

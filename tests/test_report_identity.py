@@ -42,7 +42,7 @@ DIGESTS = {
         "3e911f22b20c3733059becafd2c9f8b93e5020e6879d7b383becf796502d8e7b",
     ),
     "baseline_trials_3": (
-        "aa36d11ab5752c9c28cbf7780e3bff281ce8410b45880d1350df3ec475d8215b",
+        "dbad919675299bb61c93aeb341f7d7040834b00b167fbe5cbfafc74b01771e7f",
         "6076caa537cc970260377fcf6adda7ee70cd4000d483f0cbf7bb390632e48b6d",
     ),
     "validate_shifted": "5baf7e0f51d5b6eb88afd29cefece395a6ae765cdc3847cdc039663af83c7a2a",
